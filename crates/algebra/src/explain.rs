@@ -1,8 +1,9 @@
 //! Plan pretty-printer: renders query trees in the paper's operator
 //! notation (Fig. 2–4), for diagnostics and plan-shape tests.
 
+use crate::kernel::step_kernel;
 use crate::ops::{LogicalOp, ScanHint};
-use crate::scalar::ScalarExpr;
+use crate::scalar::{AggExpr, ScalarExpr};
 
 /// Render a plan as an indented operator tree.
 pub fn explain(plan: &LogicalOp) -> String {
@@ -66,19 +67,29 @@ fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
     for c in plan.children() {
         render(c, depth + 1, out);
     }
-    // Nested plans inside scalar subscripts, marked distinctly.
-    for nested in nested_plans(plan) {
+    // Nested plans inside scalar subscripts, marked distinctly. A fused
+    // step kernel runs as one operator, so it renders as one line.
+    for agg in nested_aggs(plan) {
         for _ in 0..depth + 1 {
             out.push_str("  ");
         }
         out.push_str("(nested)\n");
-        render(nested, depth + 2, out);
+        match step_kernel(agg) {
+            Some(shape) => {
+                for _ in 0..depth + 2 {
+                    out.push_str("  ");
+                }
+                out.push_str(&shape.to_string());
+                out.push('\n');
+            }
+            None => render(&agg.plan, depth + 2, out),
+        }
     }
 }
 
-/// The nested sequence plans hanging off `plan`'s scalar subscripts
+/// The nested aggregates hanging off `plan`'s scalar subscripts
 /// (aggregate arguments inside predicates), in subscript order.
-pub fn nested_plans(plan: &LogicalOp) -> Vec<&LogicalOp> {
+pub fn nested_aggs(plan: &LogicalOp) -> Vec<&AggExpr> {
     let mut out = Vec::new();
     match plan {
         LogicalOp::Select { pred, .. }
@@ -92,18 +103,18 @@ pub fn nested_plans(plan: &LogicalOp) -> Vec<&LogicalOp> {
     out
 }
 
-/// The nested sequence plans inside a standalone scalar expression (the
+/// The nested aggregates inside a standalone scalar expression (the
 /// roots of a scalar query's profile).
-pub fn scalar_plans(e: &ScalarExpr) -> Vec<&LogicalOp> {
+pub fn scalar_aggs(e: &ScalarExpr) -> Vec<&AggExpr> {
     let mut out = Vec::new();
     collect_nested(e, &mut out);
     out
 }
 
-fn collect_nested<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a LogicalOp>) {
+fn collect_nested<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a AggExpr>) {
     use ScalarExpr as S;
     match e {
-        S::Agg(agg) => out.push(&agg.plan),
+        S::Agg(agg) => out.push(agg),
         S::And(a, b) | S::Or(a, b) => {
             collect_nested(a, out);
             collect_nested(b, out);
@@ -136,7 +147,7 @@ fn collect_nested<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a LogicalOp>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::{AggExpr, AggFunc};
+    use crate::scalar::AggFunc;
     use xmlstore::Axis;
     use xpath_syntax::NodeTest;
 

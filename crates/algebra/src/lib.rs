@@ -7,11 +7,13 @@
 //! * [`scalar`] — the subscript language (with nested aggregations 𝔄),
 //! * [`attrmgr`] — attribute-name → register-slot resolution with safe
 //!   aliasing for renames (paper §5.1),
-//! * [`explain`] — query-tree rendering in the paper's notation.
+//! * [`explain`] — query-tree rendering in the paper's notation,
+//! * [`kernel`] — the nested-aggregate shape run as a fused step kernel.
 
 pub mod attrmgr;
 pub mod docorder;
 pub mod explain;
+pub mod kernel;
 pub mod ops;
 pub mod scalar;
 pub mod value;

@@ -5,7 +5,7 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin regress -- --json results/BENCH_6.json
-//! cargo run --release -p bench --bin regress -- --check            # CI gate
+//! cargo run --release -p bench --bin regress -- --check            # CI gate (B6–B10, B12)
 //! cargo run --release -p bench --bin regress -- --update-baseline  # re-pin
 //! ```
 //!
@@ -56,6 +56,14 @@ const B10_BASELINE: &str = "results/BENCH_10_baseline.json";
 /// experiment plan requires the persisted indexes to beat the plain
 /// cursor path by at least this much on the gate document.
 const B10_FLOOR: f64 = 1.2;
+
+/// The B12 Fig. 10 baseline carrying the engine/interpreter gate
+/// configuration (written by `bench/bin/fig10 --update-baseline`).
+const B12_BASELINE: &str = "results/BENCH_12_baseline.json";
+
+/// Ceiling on both B12 quantities: the engine must not trail the
+/// context-list interpreter on the Fig. 10 predicate rows.
+const B12_CEILING: f64 = 1.0;
 
 /// Default headroom multiplier for the `--check` gate.
 const TOLERANCE: f64 = 2.0;
@@ -227,6 +235,26 @@ fn baseline_p50s(doc: &Json) -> Vec<(String, f64)> {
         .unwrap_or_default()
 }
 
+/// Read and parse a committed baseline; exit 2 (with `hint` on how to
+/// create it) when it is missing or malformed.
+fn read_baseline(path: &str, what: &str, hint: &str) -> Json {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: no {what} at {path}: {e}");
+            eprintln!("hint: {hint}");
+            std::process::exit(2);
+        }
+    };
+    match Json::parse(&text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = arg_seed(&args);
@@ -267,21 +295,8 @@ fn main() {
         return;
     }
 
-    let base_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: no baseline at {baseline_path}: {e}");
-            eprintln!("hint: run with --update-baseline to create one");
-            std::process::exit(2);
-        }
-    };
-    let base = match Json::parse(&base_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let base =
+        read_baseline(&baseline_path, "baseline", "run with --update-baseline to create one");
     let base_p50s = baseline_p50s(&base);
     let base_cal = base_p50s.iter().find(|(n, _)| n == "calibrate").map(|(_, v)| *v).unwrap_or(0.0);
     let cur_cal = summaries.iter().find(|s| s.name == "calibrate").map(|s| s.p50).unwrap_or(0);
@@ -323,21 +338,8 @@ fn main() {
     // B7 warm-cache gate: the compiled-plan cache's warm per-query p50,
     // calibration-normalised against the committed throughput baseline.
     let b7_path = arg_value(&args, "--bench7-baseline").unwrap_or_else(|| B7_BASELINE.to_owned());
-    let b7_text = match std::fs::read_to_string(&b7_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: no B7 baseline at {b7_path}: {e}");
-            eprintln!("hint: run `throughput --update-baseline` to create one");
-            std::process::exit(2);
-        }
-    };
-    let b7 = match Json::parse(&b7_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {b7_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let b7 =
+        read_baseline(&b7_path, "B7 baseline", "run `throughput --update-baseline` to create one");
     let (Some(b7_warm), Some(b7_cal)) = (
         b7.get("warm_p50_nanos").and_then(Json::as_num),
         b7.get("calibrate_p50_nanos").and_then(Json::as_num),
@@ -373,21 +375,8 @@ fn main() {
     // process, so the ratio is machine-normalised by construction; a
     // regression means the optimizer stopped (or mis-)re-planning.
     let b8_path = arg_value(&args, "--bench8-baseline").unwrap_or_else(|| B8_BASELINE.to_owned());
-    let b8_text = match std::fs::read_to_string(&b8_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: no B8 baseline at {b8_path}: {e}");
-            eprintln!("hint: run `optimizer --update-baseline` to create one");
-            std::process::exit(2);
-        }
-    };
-    let b8 = match Json::parse(&b8_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {b8_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let b8 =
+        read_baseline(&b8_path, "B8 baseline", "run `optimizer --update-baseline` to create one");
     let (Some(b8_speedup), Some(b8_records)) = (
         b8.get("gate_speedup").and_then(Json::as_num),
         b8.get("gate_records").and_then(Json::as_num),
@@ -422,21 +411,8 @@ fn main() {
     // normalised by construction. A hard floor applies on top of the
     // drift tolerance: incremental repair must stay ≥ 10× faster.
     let b9_path = arg_value(&args, "--bench9-baseline").unwrap_or_else(|| B9_BASELINE.to_owned());
-    let b9_text = match std::fs::read_to_string(&b9_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: no B9 baseline at {b9_path}: {e}");
-            eprintln!("hint: run `updates --update-baseline` to create one");
-            std::process::exit(2);
-        }
-    };
-    let b9 = match Json::parse(&b9_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {b9_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let b9 =
+        read_baseline(&b9_path, "B9 baseline", "run `updates --update-baseline` to create one");
     let (Some(b9_speedup), Some(b9_records), Some(b9_ops)) = (
         b9.get("check_speedup").and_then(Json::as_num),
         b9.get("check_records").and_then(Json::as_num),
@@ -472,21 +448,8 @@ fn main() {
     // on top of the drift tolerance (the indexes must stay ≥ 1.2×).
     let b10_path =
         arg_value(&args, "--bench10-baseline").unwrap_or_else(|| B10_BASELINE.to_owned());
-    let b10_text = match std::fs::read_to_string(&b10_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: no B10 baseline at {b10_path}: {e}");
-            eprintln!("hint: run `diskindex --update-baseline` to create one");
-            std::process::exit(2);
-        }
-    };
-    let b10 = match Json::parse(&b10_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {b10_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let b10 =
+        read_baseline(&b10_path, "B10 baseline", "run `diskindex --update-baseline` to create one");
     let (Some(b10_speedup), Some(b10_records), Some(b10_pages)) = (
         b10.get("gate_speedup").and_then(Json::as_num),
         b10.get("gate_records").and_then(Json::as_num),
@@ -518,6 +481,50 @@ fn main() {
         ratio,
         if ok { "ok" } else { "REGRESSED" }
     );
+
+    // B12 Fig. 10 gate: the engine/interpreter time ratio on the
+    // predicate rows r08–r13 (geometric mean) and on r11 alone. Both
+    // evaluators run in this process, so the ratios are machine-
+    // normalised by construction; the ceiling is absolute, not relative
+    // to the baseline (which pins only the document size and runs).
+    let b12_path =
+        arg_value(&args, "--bench12-baseline").unwrap_or_else(|| B12_BASELINE.to_owned());
+    let b12 =
+        read_baseline(&b12_path, "B12 baseline", "run `fig10 --update-baseline` to create one");
+    let (Some(b12_records), Some(b12_runs), Some(b12_geomean), Some(b12_r11)) = (
+        b12.get("gate_records").and_then(Json::as_num),
+        b12.get("gate_runs").and_then(Json::as_num),
+        b12.get("gate_geomean_ratio").and_then(Json::as_num),
+        b12.get("gate_r11_ratio").and_then(Json::as_num),
+    ) else {
+        eprintln!(
+            "error: {b12_path} lacks gate_records/gate_runs/gate_geomean_ratio/gate_r11_ratio"
+        );
+        std::process::exit(2);
+    };
+    let doc = dblp_document_seeded(b12_records as usize, seed);
+    let ratios: Vec<f64> = bench::fig10_times(&doc, b12_runs as usize)
+        .iter()
+        .map(|(interp, engine)| engine.as_secs_f64() / interp.as_secs_f64())
+        .collect();
+    let (cur_geomean, cur_r11) = bench::fig10_gate(&ratios);
+    for (name, base, cur) in [
+        ("fig10_pred", b12_geomean, cur_geomean),
+        ("fig10_r11", b12_r11, cur_r11),
+    ] {
+        let ok = cur <= B12_CEILING;
+        if !ok {
+            failed = true;
+        }
+        println!(
+            "{:<12} {:>13.3}× {:>13.3}× {:>8} {:>8}",
+            name,
+            base,
+            cur,
+            format!("≤{B12_CEILING:.2}"),
+            if ok { "ok" } else { "REGRESSED" }
+        );
+    }
 
     if failed {
         eprintln!("perf regression detected (normalised p50 over {tolerance:.2}× baseline)");

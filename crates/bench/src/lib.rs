@@ -390,6 +390,42 @@ pub fn time_query(ev: Evaluator, store: &dyn XmlStore, query: &str, runs: usize)
     samples[samples.len() / 2]
 }
 
+/// The Fig. 10 rows the B12 gate holds: the predicate block r08–r13
+/// (indices into [`FIG10_QUERIES`]).
+pub const FIG10_GATE_ROWS: std::ops::Range<usize> = 7..13;
+
+/// Index of r11, `/dblp/*[author='Guido Moerkotte']/@key`: the row the
+/// nested-plan path lost worst to the interpreter, gated on its own.
+pub const FIG10_R11: usize = 10;
+
+/// Median (interpreter, engine) times of every [`FIG10_QUERIES`] row,
+/// the two evaluators alternating run by run so drift lands on both
+/// sides equally. Both run in this process, so their ratio needs no
+/// calibration workload.
+pub fn fig10_times(doc: &dyn XmlStore, runs: usize) -> Vec<(Duration, Duration)> {
+    FIG10_QUERIES
+        .iter()
+        .map(|q| {
+            let (mut interp, mut engine) = (Vec::new(), Vec::new());
+            for _ in 0..runs.max(1) {
+                interp.push(time_query(Evaluator::ContextList, doc, q, 1));
+                engine.push(time_query(Evaluator::NatixImproved, doc, q, 1));
+            }
+            interp.sort();
+            engine.sort();
+            (interp[interp.len() / 2], engine[engine.len() / 2])
+        })
+        .collect()
+}
+
+/// The B12 gate quantities from per-row engine/interpreter ratios:
+/// (geometric mean over [`FIG10_GATE_ROWS`], the r11 ratio).
+pub fn fig10_gate(ratios: &[f64]) -> (f64, f64) {
+    let rows = &ratios[FIG10_GATE_ROWS];
+    let geomean = (rows.iter().map(|r| r.ln()).sum::<f64>() / rows.len() as f64).exp();
+    (geomean, ratios[FIG10_R11])
+}
+
 /// Render a duration in milliseconds with three decimals.
 pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)

@@ -450,7 +450,21 @@ impl Estimator<'_> {
                     1.0
                 };
                 let mut inner_env = env.clone();
-                let inner = self.est(&agg.plan, evals * discount, &mut inner_env, rec);
+                let inner = match algebra::kernel::step_kernel(agg) {
+                    // A fused step kernel profiles as one operator: keep
+                    // the nested plan's root estimate under its label.
+                    Some(shape) => {
+                        let mut nested = Vec::new();
+                        let inner =
+                            self.est(&agg.plan, evals * discount, &mut inner_env, &mut nested);
+                        rec.push(OpEstimate {
+                            label: shape.to_string(),
+                            est_tuples: nested.first().map_or(0.0, |e| e.est_tuples),
+                        });
+                        inner
+                    }
+                    None => self.est(&agg.plan, evals * discount, &mut inner_env, rec),
+                };
                 1.0 + inner.cost * discount
             }
             S::And(a, b) | S::Or(a, b) => {
@@ -1038,11 +1052,16 @@ mod tests {
     #[test]
     fn optimize_records_decisions_and_preserves_off_mode_inverses() {
         let stats = dblp_stats();
-        // A nested-path predicate: improved translation memoizes the
-        // inner path (𝔐) and splits the expensive clause (χ^mat).
-        let q =
-            compile("/dblp/article[author/text()]/title", &TranslateOptions::improved()).unwrap();
+        // A nested-path predicate: improved translation splits the
+        // expensive clause (χ^mat). The parent step repeats context
+        // nodes, so the memo key can hit and the split is emitted.
+        let q = compile(
+            "/dblp/article/author/parent::article[author/text()]/title",
+            &TranslateOptions::improved(),
+        )
+        .unwrap();
         let (opt, decisions) = optimize(q, &stats);
+        assert!(decisions.iter().any(|d| d.rule == "split-expensive"), "{decisions:?}");
         assert!(!decisions.is_empty(), "at least the scan/memo sites decide");
         for d in &decisions {
             assert!(d.est_chosen <= d.est_rejected, "chosen side must be the cheaper: {d:?}");

@@ -367,14 +367,43 @@ mod tests {
 
     #[test]
     fn nested_path_predicate_rebinds_cn_and_memoizes() {
+        // The ancestor step repeats context nodes, so the χ^mat key can
+        // hit (a distinct key would make the memo pointless, see below).
         let plan = seq(
-            "/a/descendant::b[count(descendant::c/following::*) = 1000]",
+            "/a/descendant::b/ancestor::b[count(descendant::c/following::*) = 1000]",
             &TranslateOptions::improved(),
         );
         let text = explain(&plan);
         assert!(text.contains("Π[cn:"), "cn rebinding expected:\n{text}");
         assert!(text.contains("𝔐["), "MemoX expected for inner path:\n{text}");
         assert!(text.contains("χ^mat"), "expensive clause memoised:\n{text}");
+    }
+
+    #[test]
+    fn distinct_key_top_level_predicate_emits_no_memo() {
+        // Each article is a distinct context node and the predicate sits
+        // on the outer path, opened once: a χ^mat keyed on it can never
+        // hit, so the expensive clause stays a plain selection.
+        for q in [
+            "/dblp/article[author/text()]/title",
+            "/a/descendant::b[count(c/d) = 2]",
+        ] {
+            let text = explain(&seq(q, &TranslateOptions::improved()));
+            assert!(!text.contains("χ^mat"), "{q}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn memo_inside_reopened_plan_is_kept() {
+        // Inside a predicate's nested plan the memo survives re-opens and
+        // sees the same key again, even though the key is distinct per
+        // opening.
+        let text = explain(&seq("/a/b[c[d/e]]", &TranslateOptions::improved()));
+        assert!(text.contains("χ^mat[") && text.contains("key c5]"), "{text}");
+        // Likewise the dependent side of a canonical outer d-join chain.
+        let opts = TranslateOptions { split_expensive: true, ..TranslateOptions::canonical() };
+        let text = explain(&seq("/a/b[c/d]", &opts));
+        assert!(text.contains("χ^mat["), "{text}");
     }
 
     #[test]
@@ -536,9 +565,10 @@ mod tests {
         // 1+1 folds to a position() = 2 rewrite in the predicate.
         let (_, trace) = compile_traced("/a/b[1 + 1]", &TranslateOptions::improved()).unwrap();
         assert!(trace.rewrites.iter().any(|r| r == "constant-fold"), "{:?}", trace.rewrites);
-        // An inner relative path gets memoized under the improved options…
+        // An inner relative path gets memoized under the improved options
+        // (the ancestor step repeats keys, so the χ^mat split is kept)…
         let (_, trace) = compile_traced(
-            "/a/descendant::b[count(descendant::c/following::*) = 1000]",
+            "/a/descendant::b/ancestor::b[count(descendant::c/following::*) = 1000]",
             &TranslateOptions::improved(),
         )
         .unwrap();

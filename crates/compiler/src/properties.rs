@@ -369,7 +369,7 @@ fn recursive_axis(axis: Axis) -> bool {
 }
 
 fn scalar_has_plan(e: &ScalarExpr) -> bool {
-    !algebra::explain::scalar_plans(e).is_empty()
+    !algebra::explain::scalar_aggs(e).is_empty()
 }
 
 /// Any operator in `plan` (predicates included) that navigates the

@@ -4,8 +4,9 @@
 //! phases (code generation, execution) are appended by the callers that
 //! run them (the `nqe` crate and the CLI).
 
-use algebra::explain::{nested_plans, scalar_plans};
-use algebra::{LogicalOp, ScalarExpr};
+use algebra::explain::{nested_aggs, scalar_aggs};
+use algebra::kernel::step_kernel;
+use algebra::{AggExpr, LogicalOp, ScalarExpr};
 
 use crate::cost::OptimizerTrace;
 use crate::translate::CompiledQuery;
@@ -60,15 +61,16 @@ impl QueryTrace {
     /// Record the final plan's statistics (operator count, depth,
     /// per-class counts).
     pub fn record_plan(&mut self, q: &CompiledQuery) {
-        let roots: Vec<&LogicalOp> = match q {
-            CompiledQuery::Sequence(plan) => vec![plan],
-            CompiledQuery::Scalar(expr) => scalar_plans(expr),
-        };
         let mut counts: Vec<(String, usize)> = Vec::new();
         let mut ops = 0usize;
         let mut depth = 0usize;
-        for root in roots {
-            walk(root, 1, &mut ops, &mut depth, &mut counts);
+        match q {
+            CompiledQuery::Sequence(plan) => walk(plan, 1, &mut ops, &mut depth, &mut counts),
+            CompiledQuery::Scalar(expr) => {
+                for agg in scalar_aggs(expr) {
+                    walk_agg(agg, 1, &mut ops, &mut depth, &mut counts);
+                }
+            }
         }
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         self.plan_ops = ops;
@@ -137,20 +139,48 @@ fn walk(
     max_depth: &mut usize,
     counts: &mut Vec<(String, usize)>,
 ) {
+    count_op(op_class(plan), depth, ops, max_depth, counts);
+    for c in plan.children() {
+        walk(c, depth + 1, ops, max_depth, counts);
+    }
+    for agg in nested_aggs(plan) {
+        walk_agg(agg, depth + 1, ops, max_depth, counts);
+    }
+}
+
+/// A nested aggregate's plan, or one operator when it runs as a fused
+/// step kernel (DESIGN.md §20).
+fn walk_agg(
+    agg: &AggExpr,
+    depth: usize,
+    ops: &mut usize,
+    max_depth: &mut usize,
+    counts: &mut Vec<(String, usize)>,
+) {
+    if step_kernel(agg).is_some() {
+        count_op(KERNEL_CLASS, depth, ops, max_depth, counts);
+    } else {
+        walk(&agg.plan, depth, ops, max_depth, counts);
+    }
+}
+
+fn count_op(
+    class: &str,
+    depth: usize,
+    ops: &mut usize,
+    max_depth: &mut usize,
+    counts: &mut Vec<(String, usize)>,
+) {
     *ops += 1;
     *max_depth = (*max_depth).max(depth);
-    let class = op_class(plan);
     match counts.iter_mut().find(|(k, _)| k == class) {
         Some((_, n)) => *n += 1,
         None => counts.push((class.to_owned(), 1)),
     }
-    for c in plan.children() {
-        walk(c, depth + 1, ops, max_depth, counts);
-    }
-    for nested in nested_plans(plan) {
-        walk(nested, depth + 1, ops, max_depth, counts);
-    }
 }
+
+/// Operator class of the fused step kernel.
+pub const KERNEL_CLASS: &str = "𝔄Υ";
 
 /// The operator class symbol, in the paper's notation.
 pub fn op_class(plan: &LogicalOp) -> &'static str {

@@ -71,7 +71,12 @@ impl ClauseCtx {
 
 /// Translate an analyzed, folded expression into the algebra.
 pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, CompileError> {
-    let mut tr = Translator { opts: *opts, next_id: 0, in_predicate: false };
+    let mut tr = Translator {
+        opts: *opts,
+        next_id: 0,
+        in_predicate: false,
+        in_dependent: false,
+    };
     match static_type(e) {
         XPathType::NodeSet => {
             let (plan, attr) = tr.t_seq(e)?;
@@ -128,6 +133,9 @@ struct Translator {
     next_id: u32,
     /// True while translating predicate clauses (inner paths).
     in_predicate: bool,
+    /// True while translating the dependent side of a canonical outer
+    /// d-join chain, which is re-opened once per outer tuple.
+    in_dependent: bool,
 }
 
 impl Translator {
@@ -274,7 +282,10 @@ impl Translator {
             // lets §4.1 push Π^D between steps over the full stream.
             let mut undeduped_dups = false;
             for step in &p.steps {
-                let (dep, ci) = self.step_over(LogicalOp::Singleton, &cur, step, None)?;
+                let outer = std::mem::replace(&mut self.in_dependent, true);
+                let dep = self.step_over(LogicalOp::Singleton, &cur, step, None);
+                self.in_dependent = outer;
+                let (dep, ci) = dep?;
                 plan = LogicalOp::djoin(plan, dep);
                 if step.axis.is_ppd() {
                     if self.opts.push_dedup {
@@ -410,12 +421,19 @@ impl Translator {
             };
             cctx.last = Some(cs);
         }
+        // A χ^mat hits only on a key it has seen before. When the key is
+        // distinct over the stream and the operator is opened once per
+        // execution (not inside a predicate's nested plan or a d-join's
+        // dependent side), no key ever repeats: the memo could only cost.
         let was_inner = self.in_predicate;
+        let memo_can_hit = was_inner
+            || self.in_dependent
+            || !crate::properties::props_of(&plan, node_attr).distinct;
         self.in_predicate = true;
         let result = (|| {
             for clause in &np.clauses {
                 let pred = self.t_scalar(&clause.expr, &cctx)?;
-                if clause.expensive && self.opts.split_expensive {
+                if clause.expensive && self.opts.split_expensive && memo_can_hit {
                     // §4.3.2: materialise the expensive value per context
                     // node, then select on the memoised attribute.
                     let v = self.fresh("v");

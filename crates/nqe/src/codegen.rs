@@ -8,7 +8,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use algebra::attrmgr::{AttrManager, Slot};
-use algebra::scalar::ScalarExpr;
+use algebra::kernel::{step_kernel, StepKernelShape};
+use algebra::scalar::{CmpMode, ScalarExpr};
 use algebra::LogicalOp;
 use compiler::CompiledQuery;
 
@@ -18,6 +19,7 @@ use crate::iter::{
     PhysIter, RenameCopyIter, SelectIter, SemiJoinIter, SharedMemo, SingletonIter, SortIter,
     TmpCsIter, TokenizeIter, UnnestMapIter,
 };
+use crate::kernel::StepKernel;
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
 
@@ -371,7 +373,7 @@ impl Codegen<'_> {
         let mut nested = Vec::new();
         let result = self.emit(e, &mut prog, &mut nested);
         prog.result = result;
-        CompiledPred { prog, nested }
+        CompiledPred::new(prog, nested)
     }
 
     fn new_reg(&mut self, prog: &mut Program) -> Reg {
@@ -380,12 +382,33 @@ impl Codegen<'_> {
         r
     }
 
-    fn emit(&mut self, e: &ScalarExpr, prog: &mut Program, nested: &mut Vec<NestedEval>) -> Reg {
+    /// Lower a fused step kernel. With profiling on it gets one profile
+    /// row of its own, where the nested plan's operators would have been.
+    fn build_kernel(&mut self, shape: &StepKernelShape<'_>) -> StepKernel {
+        let ctx = self.mgr.slot(shape.context);
+        let stats = self.profile.as_mut().map(|p| {
+            let stats: SharedStats = Arc::new(Mutex::new(OpStats::default()));
+            p.entries.push(ProfileEntry {
+                label: shape.to_string(),
+                depth: self.depth,
+                stats: stats.clone(),
+            });
+            stats
+        });
+        StepKernel::new(shape, ctx, stats)
+    }
+
+    fn emit<'e>(
+        &mut self,
+        e: &'e ScalarExpr,
+        prog: &mut Program,
+        nested: &mut Vec<NestedEval>,
+    ) -> Reg {
         use ScalarExpr as S;
         match e {
             S::Const(c) => {
                 let dst = self.new_reg(prog);
-                prog.instrs.push(Instr::LoadConst { dst, value: c.clone() });
+                prog.instrs.push(Instr::LoadConst { dst, value: c.to_value() });
                 dst
             }
             S::Attr(name) => {
@@ -426,8 +449,15 @@ impl Codegen<'_> {
                 dst
             }
             S::Compare { op, mode, lhs, rhs } => {
-                let ra = self.emit(lhs, prog, nested);
-                let rb = self.emit(rhs, prog, nested);
+                // A string-mode compare stringifies its operands itself
+                // (borrowing where it can): an explicit string() in front
+                // would only allocate.
+                let operand = |e: &'e ScalarExpr| match (mode, e) {
+                    (CmpMode::Str, S::Convert(algebra::ConvKind::ToString, inner)) => &**inner,
+                    _ => e,
+                };
+                let ra = self.emit(operand(lhs), prog, nested);
+                let rb = self.emit(operand(rhs), prog, nested);
                 let dst = self.new_reg(prog);
                 prog.instrs.push(Instr::Cmp { op: *op, mode: *mode, dst, a: ra, b: rb });
                 dst
@@ -493,10 +523,16 @@ impl Codegen<'_> {
                 dst
             }
             S::Agg(agg) => {
-                let over = self.mgr.slot(&agg.over);
-                let iter = self.build_iter(&agg.plan);
+                let eval = match step_kernel(agg) {
+                    Some(shape) => NestedEval::Kernel(self.build_kernel(&shape)),
+                    None => {
+                        let over = self.mgr.slot(&agg.over);
+                        let iter = self.build_iter(&agg.plan);
+                        NestedEval::new(iter, over, agg.func, agg.independent)
+                    }
+                };
                 let idx = nested.len();
-                nested.push(NestedEval::new(iter, over, agg.func, agg.independent));
+                nested.push(eval);
                 let dst = self.new_reg(prog);
                 prog.instrs.push(Instr::EvalNested { dst, idx });
                 dst

@@ -21,6 +21,7 @@ use algebra::scalar::AggFunc;
 use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
+use crate::kernel::StepKernel;
 use crate::nvm::{self, Program};
 
 /// One operator-specific metric: a static name and a counter value
@@ -60,19 +61,49 @@ pub struct CompiledPred {
     pub prog: Program,
     /// Nested sequence plans (aggregations).
     pub nested: Vec<NestedEval>,
+    /// The program's register file, reused across evaluations.
+    regs: Vec<Value>,
 }
 
 impl CompiledPred {
+    /// Bundle a program with its nested plans.
+    pub fn new(prog: Program, nested: Vec<NestedEval>) -> CompiledPred {
+        CompiledPred { prog, nested, regs: Vec::new() }
+    }
+
     /// Evaluate against one tuple.
     pub fn eval(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
-        nvm::run(&self.prog, rt, tuple, &mut self.nested)
+        nvm::run(&self.prog, &mut self.regs, rt, tuple, &mut self.nested)
+    }
+}
+
+/// A nested aggregate of a scalar subscript (paper §5.2.3).
+pub enum NestedEval {
+    /// A nested iterator plan, aggregated tuple by tuple.
+    Plan(NestedPlan),
+    /// A fused step kernel (DESIGN.md §20).
+    Kernel(StepKernel),
+}
+
+impl NestedEval {
+    /// Wrap a built nested plan.
+    pub fn new(iter: Box<dyn PhysIter>, over: Slot, func: AggFunc, independent: bool) -> Self {
+        NestedEval::Plan(NestedPlan { iter, over, func, independent, cached: None })
+    }
+
+    /// The aggregate's value for the outer tuple `tuple`.
+    pub fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
+        match self {
+            NestedEval::Plan(p) => p.evaluate(rt, tuple),
+            NestedEval::Kernel(k) => k.evaluate(rt, tuple),
+        }
     }
 }
 
 /// A nested sequence-valued plan consumed as an aggregate value
 /// (paper §5.2.3), with premature termination for `exists()` (§5.2.5)
 /// and one-shot caching for plans without free attributes.
-pub struct NestedEval {
+pub struct NestedPlan {
     iter: Box<dyn PhysIter>,
     over: Slot,
     func: AggFunc,
@@ -80,14 +111,9 @@ pub struct NestedEval {
     cached: Option<Value>,
 }
 
-impl NestedEval {
-    /// Wrap a built nested plan.
-    pub fn new(iter: Box<dyn PhysIter>, over: Slot, func: AggFunc, independent: bool) -> Self {
-        NestedEval { iter, over, func, independent, cached: None }
-    }
-
+impl NestedPlan {
     /// Run the nested plan seeded with `tuple` and aggregate.
-    pub fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
+    fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
         if self.independent {
             if let Some(v) = &self.cached {
                 return v.clone();

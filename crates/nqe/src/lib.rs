@@ -7,6 +7,8 @@
 //!   deadline, cancellation) charged by every materialising iterator,
 //! * [`nvm`] — the register VM evaluating subscripts (with nested
 //!   iterator access and smart aggregation),
+//! * [`kernel`] — the fused step kernel for `[name = 'lit']`-shaped
+//!   nested aggregates (DESIGN.md §20),
 //! * [`codegen`] — logical plan → iterators + NVM programs (slot
 //!   resolution through the attribute manager),
 //! * [`exec`] — the executor and the [`exec::evaluate`] convenience entry
@@ -18,6 +20,7 @@ pub mod exec;
 pub mod governor;
 pub mod iter;
 pub mod json;
+pub mod kernel;
 pub mod nvm;
 pub mod profile;
 

@@ -13,7 +13,7 @@ use xpath_syntax::{ArithOp, CompOp};
 
 use algebra::attrmgr::Slot;
 use algebra::scalar::{CmpMode, NodeFn, NumFn, StrFn};
-use algebra::{Const, Tuple, Value};
+use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
 use crate::iter::NestedEval;
@@ -24,8 +24,8 @@ pub type Reg = usize;
 /// NVM instructions.
 #[derive(Clone, Debug)]
 pub enum Instr {
-    /// `dst ← const`
-    LoadConst { dst: Reg, value: Const },
+    /// `dst ← const` (lifted to a runtime value once, at codegen).
+    LoadConst { dst: Reg, value: Value },
     /// `dst ← tuple[slot]`
     LoadSlot { dst: Reg, slot: Slot },
     /// `dst ← vars[name]` (Null if unbound).
@@ -89,14 +89,22 @@ pub struct Program {
 }
 
 /// Run a program against `tuple`. `nested` supplies the nested iterator
-/// plans referenced by `EvalNested`.
-pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [NestedEval]) -> Value {
-    let mut regs: Vec<Value> = vec![Value::Null; prog.nregs];
+/// plans referenced by `EvalNested`. `regs` is the caller's register
+/// file, so a subscript evaluated once per tuple allocates its registers
+/// once; it is left empty (values dropped, capacity kept) on return.
+pub fn run(
+    prog: &Program,
+    regs: &mut Vec<Value>,
+    rt: &Runtime<'_>,
+    tuple: &Tuple,
+    nested: &mut [NestedEval],
+) -> Value {
+    regs.resize(prog.nregs, Value::Null);
     let store = rt.store;
     let mut pc = 0usize;
     while pc < prog.instrs.len() {
         match &prog.instrs[pc] {
-            Instr::LoadConst { dst, value } => regs[*dst] = value.to_value(),
+            Instr::LoadConst { dst, value } => regs[*dst] = value.clone(),
             Instr::LoadSlot { dst, slot } => {
                 regs[*dst] = tuple.get(*slot).cloned().unwrap_or(Value::Null)
             }
@@ -117,7 +125,7 @@ pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [Nested
             Instr::ToString { dst, a } => regs[*dst] = Value::Str(regs[*a].to_str(store).into()),
             Instr::ToBoolean { dst, a } => regs[*dst] = Value::Bool(regs[*a].to_bool()),
             Instr::StrOp { f, dst, args } => {
-                regs[*dst] = str_op(*f, args, &regs, rt);
+                regs[*dst] = str_op(*f, args, regs, rt);
             }
             Instr::NumOp { f, dst, a } => {
                 let x = regs[*a].to_num(store);
@@ -179,7 +187,9 @@ pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [Nested
         }
         pc += 1;
     }
-    std::mem::replace(&mut regs[prog.result], Value::Null)
+    let result = std::mem::replace(&mut regs[prog.result], Value::Null);
+    regs.clear();
+    result
 }
 
 fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) -> bool {
@@ -212,15 +222,27 @@ fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) ->
                 _ => op.apply_numbers(x as u8 as f64, y as u8 as f64),
             }
         }
-        CmpMode::Str => {
-            let (x, y) = (a.to_str(store), b.to_str(store));
-            match op {
-                CompOp::Eq => x == y,
-                CompOp::Ne => x != y,
-                _ => op.apply_numbers(xvalue::string_to_number(&x), xvalue::string_to_number(&y)),
+        CmpMode::Str => match op {
+            CompOp::Eq => str_eq(a, b, store),
+            CompOp::Ne => !str_eq(a, b, store),
+            _ => {
+                let (x, y) = (a.to_str(store), b.to_str(store));
+                op.apply_numbers(xvalue::string_to_number(&x), xvalue::string_to_number(&y))
             }
-        }
+        },
         CmpMode::Dyn => unreachable!("Dyn resolved above"),
+    }
+}
+
+/// `string(a) = string(b)`, building no string for a side that already
+/// is one: a node is compared in place against a string operand.
+fn str_eq(a: &Value, b: &Value, store: &dyn xmlstore::XmlStore) -> bool {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Node(n), Value::Str(s)) | (Value::Str(s), Value::Node(n)) => {
+            store.string_value_eq(*n, s)
+        }
+        _ => a.to_str(store) == b.to_str(store),
     }
 }
 
@@ -289,14 +311,14 @@ mod tests {
         let rt = Runtime { store: &store, vars: &vars, gov: &gov };
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Num(4.0) },
-                Instr::LoadConst { dst: 1, value: Const::Num(38.0) },
+                Instr::LoadConst { dst: 0, value: Value::Num(4.0) },
+                Instr::LoadConst { dst: 1, value: Value::Num(38.0) },
                 Instr::Arith { op: ArithOp::Add, dst: 2, a: 0, b: 1 },
             ],
             nregs: 3,
             result: 2,
         };
-        let v = run(&prog, &rt, &vec![], &mut []);
+        let v = run(&prog, &mut Vec::new(), &rt, &vec![], &mut []);
         assert!(matches!(v, Value::Num(n) if n == 42.0));
     }
 
@@ -314,13 +336,13 @@ mod tests {
             instrs: vec![
                 Instr::LoadSlot { dst: 0, slot: 0 },
                 Instr::ToNumber { dst: 1, a: 0 },
-                Instr::LoadConst { dst: 2, value: Const::Num(7.0) },
+                Instr::LoadConst { dst: 2, value: Value::Num(7.0) },
                 Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
             ],
             nregs: 4,
             result: 3,
         };
-        let v = run(&prog, &rt, &tuple, &mut []);
+        let v = run(&prog, &mut Vec::new(), &rt, &tuple, &mut []);
         assert!(matches!(v, Value::Bool(true)));
     }
 
@@ -331,25 +353,25 @@ mod tests {
         let rt = Runtime { store: &store, vars: &vars, gov: &gov };
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Str("k1".into()) },
+                Instr::LoadConst { dst: 0, value: Value::Str("k1".into()) },
                 Instr::Deref { dst: 1, a: 0 },
             ],
             nregs: 2,
             result: 1,
         };
-        match run(&prog, &rt, &vec![], &mut []) {
+        match run(&prog, &mut Vec::new(), &rt, &vec![], &mut []) {
             Value::Node(n) => assert_eq!(store.node_name(n), "b"),
             other => panic!("{other:?}"),
         }
         let prog_missing = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Str("zzz".into()) },
+                Instr::LoadConst { dst: 0, value: Value::Str("zzz".into()) },
                 Instr::Deref { dst: 1, a: 0 },
             ],
             nregs: 2,
             result: 1,
         };
-        assert!(run(&prog_missing, &rt, &vec![], &mut []).is_null());
+        assert!(run(&prog_missing, &mut Vec::new(), &rt, &vec![], &mut []).is_null());
     }
 
     #[test]
@@ -365,14 +387,14 @@ mod tests {
         for (lang, expect) in [("en", true), ("en-us", true), ("EN", true), ("de", false)] {
             let prog = Program {
                 instrs: vec![
-                    Instr::LoadConst { dst: 0, value: Const::Str(lang.into()) },
+                    Instr::LoadConst { dst: 0, value: Value::Str(lang.into()) },
                     Instr::Lang { dst: 1, a: 0, ctx: 0 },
                 ],
                 nregs: 2,
                 result: 1,
             };
             assert!(
-                matches!(run(&prog, &rt, &tuple, &mut []), Value::Bool(b) if b == expect),
+                matches!(run(&prog, &mut Vec::new(), &rt, &tuple, &mut []), Value::Bool(b) if b == expect),
                 "lang({lang})"
             );
         }
@@ -393,21 +415,11 @@ mod tests {
             let mut regs_in = prog.clone();
             // Pre-load via constants: rebuild with loads.
             regs_in.instrs = vec![
-                match &a {
-                    Value::Bool(x) => Instr::LoadConst { dst: 0, value: Const::Bool(*x) },
-                    Value::Num(x) => Instr::LoadConst { dst: 0, value: Const::Num(*x) },
-                    Value::Str(x) => Instr::LoadConst { dst: 0, value: Const::Str(x.to_string()) },
-                    _ => unreachable!(),
-                },
-                match &b {
-                    Value::Bool(x) => Instr::LoadConst { dst: 1, value: Const::Bool(*x) },
-                    Value::Num(x) => Instr::LoadConst { dst: 1, value: Const::Num(*x) },
-                    Value::Str(x) => Instr::LoadConst { dst: 1, value: Const::Str(x.to_string()) },
-                    _ => unreachable!(),
-                },
+                Instr::LoadConst { dst: 0, value: a },
+                Instr::LoadConst { dst: 1, value: b },
                 Instr::Cmp { op, mode: CmpMode::Dyn, dst: 2, a: 0, b: 1 },
             ];
-            matches!(run(&regs_in, &rt, &tuple, &mut []), Value::Bool(true))
+            matches!(run(&regs_in, &mut Vec::new(), &rt, &tuple, &mut []), Value::Bool(true))
         };
         // bool beats number: true = 1 → boolean(1)=true.
         assert!(cmp(Value::Bool(true), Value::Num(1.0), CompOp::Eq));
@@ -428,13 +440,13 @@ mod tests {
         // r0 = false; if false jump over the part that would set r0=true.
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Bool(false) },
+                Instr::LoadConst { dst: 0, value: Value::Bool(false) },
                 Instr::JumpIfFalse { cond: 0, target: 3 },
-                Instr::LoadConst { dst: 0, value: Const::Bool(true) },
+                Instr::LoadConst { dst: 0, value: Value::Bool(true) },
             ],
             nregs: 1,
             result: 0,
         };
-        assert!(matches!(run(&prog, &rt, &vec![], &mut []), Value::Bool(false)));
+        assert!(matches!(run(&prog, &mut Vec::new(), &rt, &vec![], &mut []), Value::Bool(false)));
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use algebra::scalar::{AggFunc, CmpMode};
-use algebra::{Const, ScanHint, Tuple, Value};
+use algebra::{ScanHint, Tuple, Value};
 use xmlstore::{parse_document, ArenaStore, Axis, XmlStore};
 use xpath_syntax::{CompOp, NodeTest};
 
@@ -241,19 +241,19 @@ fn select_filters_by_compiled_predicate() {
     let gov = ResourceGovernor::unlimited();
     let rt = rt(&s, &vars, &gov);
     // pred: number(string-value of slot1 node) >= 2
-    let pred = CompiledPred {
-        prog: Program {
+    let pred = CompiledPred::new(
+        Program {
             instrs: vec![
                 Instr::LoadSlot { dst: 0, slot: 1 },
                 Instr::ToNumber { dst: 1, a: 0 },
-                Instr::LoadConst { dst: 2, value: Const::Num(2.0) },
+                Instr::LoadConst { dst: 2, value: Value::Num(2.0) },
                 Instr::Cmp { op: CompOp::Ge, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
             ],
             nregs: 4,
             result: 3,
         },
-        nested: vec![],
-    };
+        vec![],
+    );
     let bs = unnest(0, 1, Axis::Descendant, NodeTest::Name("b".into()));
     let mut select = SelectIter::new(bs, pred);
     let out = drain(&mut select, &rt, &seed(&s));
@@ -368,37 +368,39 @@ fn semi_and_anti_join_are_complementary() {
     let rt = rt(&s, &vars, &gov);
     // left: all b's (slot 1); right: b's with value >= 2 (slot 2);
     // pred: string-values equal.
-    let pred = || CompiledPred {
-        prog: Program {
-            instrs: vec![
-                Instr::LoadSlot { dst: 0, slot: 1 },
-                Instr::ToString { dst: 1, a: 0 },
-                Instr::LoadSlot { dst: 2, slot: 2 },
-                Instr::ToString { dst: 3, a: 2 },
-                Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Str, dst: 4, a: 1, b: 3 },
-            ],
-            nregs: 5,
-            result: 4,
-        },
-        nested: vec![],
+    let pred = || {
+        CompiledPred::new(
+            Program {
+                instrs: vec![
+                    Instr::LoadSlot { dst: 0, slot: 1 },
+                    Instr::ToString { dst: 1, a: 0 },
+                    Instr::LoadSlot { dst: 2, slot: 2 },
+                    Instr::ToString { dst: 3, a: 2 },
+                    Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Str, dst: 4, a: 1, b: 3 },
+                ],
+                nregs: 5,
+                result: 4,
+            },
+            vec![],
+        )
     };
     let right = || -> Box<dyn PhysIter> {
         let bs = unnest(0, 2, Axis::Descendant, NodeTest::Name("b".into()));
         Box::new(SelectIter::new(
             bs,
-            CompiledPred {
-                prog: Program {
+            CompiledPred::new(
+                Program {
                     instrs: vec![
                         Instr::LoadSlot { dst: 0, slot: 2 },
                         Instr::ToNumber { dst: 1, a: 0 },
-                        Instr::LoadConst { dst: 2, value: Const::Num(2.0) },
+                        Instr::LoadConst { dst: 2, value: Value::Num(2.0) },
                         Instr::Cmp { op: CompOp::Ge, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
                     ],
                     nregs: 4,
                     result: 3,
                 },
-                nested: vec![],
-            },
+                vec![],
+            ),
         ))
     };
     let semi_out = {

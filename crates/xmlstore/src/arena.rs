@@ -166,6 +166,29 @@ impl ArenaStore {
         self.node(n).value.as_deref()
     }
 
+    /// Consume the text of `n`'s subtree from the front of `rest`, in
+    /// document order, without concatenating it: false as soon as a text
+    /// node is not a prefix of what remains (the borrowed half of
+    /// [`XmlStore::string_value_eq`]).
+    fn match_text_prefix(&self, n: NodeId, rest: &mut &str) -> bool {
+        let mut child = self.first_child(n);
+        while let Some(c) = child {
+            match self.node(c).kind {
+                NodeKind::Text => {
+                    let v = self.value_ref(c).unwrap_or_default();
+                    match rest.strip_prefix(v) {
+                        Some(tail) => *rest = tail,
+                        None => return false,
+                    }
+                }
+                NodeKind::Element if !self.match_text_prefix(c, rest) => return false,
+                _ => {}
+            }
+            child = self.next_sibling(c);
+        }
+        true
+    }
+
     // ----- update support (see crate::update for the public API) ---------
 
     pub(crate) fn set_value_raw(&mut self, n: NodeId, content: &str) {
@@ -867,6 +890,28 @@ impl XmlStore for ArenaStore {
 
     fn value(&self, n: NodeId) -> Option<String> {
         self.node(n).value.as_deref().map(str::to_owned)
+    }
+
+    fn string_value_eq(&self, n: NodeId, s: &str) -> bool {
+        match self.node(n).kind {
+            NodeKind::Document | NodeKind::Element => {
+                let mut rest = s;
+                self.match_text_prefix(n, &mut rest) && rest.is_empty()
+            }
+            _ => self.value_ref(n).unwrap_or_default() == s,
+        }
+    }
+
+    fn collect_text(&self, n: NodeId, out: &mut String) {
+        let mut child = self.first_child(n);
+        while let Some(c) = child {
+            match self.node(c).kind {
+                NodeKind::Text => out.push_str(self.value_ref(c).unwrap_or_default()),
+                NodeKind::Element => self.collect_text(c, out),
+                _ => {}
+            }
+            child = self.next_sibling(c);
+        }
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {

@@ -117,6 +117,14 @@ pub trait XmlStore: Sync {
         }
     }
 
+    /// True if the XPath string-value of `n` equals `s`. Value
+    /// predicates (`[author = 'x']`) only need this answer, not the
+    /// string: stores that can lend their text out override it to
+    /// compare in place without building the string-value.
+    fn string_value_eq(&self, n: NodeId, s: &str) -> bool {
+        self.string_value(n) == s
+    }
+
     /// Name of `n` as text ("" if unnamed), i.e. the XPath `name()` result.
     fn node_name(&self, n: NodeId) -> String {
         self.name(n).map(|id| self.name_text(id)).unwrap_or_default()
@@ -250,6 +258,10 @@ impl XmlStore for NoIndex<'_> {
 
     fn value(&self, n: NodeId) -> Option<String> {
         self.0.value(n)
+    }
+
+    fn string_value_eq(&self, n: NodeId, s: &str) -> bool {
+        self.0.string_value_eq(n, s)
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {

@@ -278,12 +278,14 @@ fn run_injected(
 }
 
 /// Deterministic fault sweep: budget exhaustion at the Nth allocation and
-/// cancellation at the Nth tick, over the whole tree corpus, for both the
-/// improved and the canonical plans.
+/// cancellation at the Nth tick, over the whole tree corpus plus three
+/// child-value predicates, for both the improved and the canonical plans.
 #[test]
 fn fault_injection_sweep_over_corpus() {
     let store = generate_tree(TreeParams { max_elements: 60, fanout: 3, max_depth: 3 });
-    for q in TREE_QUERIES {
+    // Child-value predicates run in the fused step kernel (DESIGN.md §20).
+    let kernel_queries = ["//*[b = '']/@id", "//*[c != 'x']/@id", "count(//*[a = ''])"];
+    for q in TREE_QUERIES.iter().chain(&kernel_queries) {
         let oracle = nqe::evaluate(&store, q, &TranslateOptions::improved()).unwrap();
         for opts in [TranslateOptions::improved(), TranslateOptions::canonical()] {
             for alloc in [1u64, 2, 3, 5, 8, 13, 21, 50] {

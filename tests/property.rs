@@ -113,6 +113,13 @@ fn predicate_strategy() -> impl Strategy<Value = String> {
         (0..ATTRS.len(), 0..100u32).prop_map(|(i, v)| format!("@{} = '{}'", ATTRS[i], v)),
         (0..NAMES.len()).prop_map(|i| format!("count({}) > 1", NAMES[i])),
         (0..NAMES.len()).prop_map(|i| NAMES[i].to_string()),
+        // Child-value predicates (the fused step kernel, DESIGN.md §20):
+        // childless and comment-only elements have the empty value.
+        (0..NAMES.len(), 0..2u32).prop_map(|(i, ne)| format!(
+            "{} {} ''",
+            NAMES[i],
+            if ne == 1 { "!=" } else { "=" }
+        )),
         Just("not(*)".to_owned()),
         Just("string-length(name()) = 1".to_owned()),
     ]
