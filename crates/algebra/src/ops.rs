@@ -234,24 +234,6 @@ pub enum LogicalOp {
         /// Key attribute (the context node handed in by the d-join).
         key: Attr,
     },
-    /// ⇶ — Exchange: evaluate `source` serially, split its output into
-    /// contiguous partitions, evaluate a replica of `body` per partition
-    /// on a scoped worker pool, and concatenate partition outputs back in
-    /// source order (so the result is byte-identical to the serial
-    /// pipeline `body ∘ source`). Inserted by the parallelize pass
-    /// (DESIGN.md §14); never produced by translation.
-    Exchange {
-        /// The partitioned stream, evaluated serially by the coordinator.
-        source: Box<LogicalOp>,
-        /// The parallel segment; consumes its partition through exactly
-        /// one [`LogicalOp::PartitionSource`] leaf on its spine.
-        body: Box<LogicalOp>,
-        /// Requested degree of parallelism.
-        partitions: usize,
-    },
-    /// ▤ — the body-side leaf of an Exchange: yields the tuples of the
-    /// worker's current partition, in source order.
-    PartitionSource,
 }
 
 impl LogicalOp {
@@ -294,15 +276,10 @@ impl LogicalOp {
         LogicalOp::DJoin { left: Box::new(left), right: Box::new(right) }
     }
 
-    /// Convenience constructor for ⇶.
-    pub fn exchange(source: LogicalOp, body: LogicalOp, partitions: usize) -> LogicalOp {
-        LogicalOp::Exchange { source: Box::new(source), body: Box::new(body), partitions }
-    }
-
     /// Direct child operators.
     pub fn children(&self) -> Vec<&LogicalOp> {
         match self {
-            LogicalOp::Singleton | LogicalOp::PartitionSource => vec![],
+            LogicalOp::Singleton => vec![],
             LogicalOp::Select { input, .. }
             | LogicalOp::DedupBy { input, .. }
             | LogicalOp::Rename { input, .. }
@@ -318,7 +295,6 @@ impl LogicalOp {
             | LogicalOp::Cross { left, right }
             | LogicalOp::SemiJoin { left, right, .. }
             | LogicalOp::AntiJoin { left, right, .. } => vec![left, right],
-            LogicalOp::Exchange { source, body, .. } => vec![source, body],
             LogicalOp::Concat { parts } => parts.iter().collect(),
         }
     }
@@ -362,10 +338,7 @@ impl LogicalOp {
 
     fn collect_referenced(&self, out: &mut Vec<Attr>) {
         match self {
-            LogicalOp::Singleton
-            | LogicalOp::Concat { .. }
-            | LogicalOp::Exchange { .. }
-            | LogicalOp::PartitionSource => {}
+            LogicalOp::Singleton | LogicalOp::Concat { .. } => {}
             LogicalOp::Select { pred, .. } => pred.collect_attr_refs(out),
             LogicalOp::DedupBy { attr, .. } | LogicalOp::SortBy { attr, .. } => {
                 out.push(attr.clone())
@@ -461,14 +434,7 @@ impl LogicalOp {
             }
         }
         match self {
-            LogicalOp::Singleton | LogicalOp::PartitionSource => {}
-            LogicalOp::Exchange { source, body, .. } => {
-                // The body pipeline continues the source pipeline: a
-                // partition tuple carries exactly what a source output
-                // tuple carries.
-                source.flow(defined, free);
-                body.flow(defined, free);
-            }
+            LogicalOp::Singleton => {}
             LogicalOp::Select { input, pred } => {
                 input.flow(defined, free);
                 scalar_flow(pred, defined, free);

@@ -16,9 +16,7 @@ pub enum Value {
     Bool(bool),
     /// IEEE-754 double.
     Num(f64),
-    /// String (shared — cloning a tuple must be cheap, and the Exchange
-    /// operator hands tuples across worker threads, so the payload is
-    /// atomically reference-counted).
+    /// String (shared, so cloning a tuple stays cheap).
     Str(Arc<str>),
     /// A document node.
     Node(NodeId),

@@ -168,13 +168,11 @@ pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstima
 
 /// Estimation context threaded along a plan walk: per-attribute mean
 /// subtree size (`scope`) and per-attribute distinct-value domain
-/// (`domain`), plus the tuple count feeding a ▤ leaf inside an
-/// Exchange body.
+/// (`domain`).
 #[derive(Clone, Default)]
 struct Env {
     scope: HashMap<String, f64>,
     domain: HashMap<String, f64>,
-    partition_rows: f64,
 }
 
 impl Env {
@@ -419,13 +417,6 @@ impl Estimator<'_> {
                 let total = probes * MEMO_LOOKUP + distinct * (i.cost + i.rows * MEMO_STORE);
                 Est { rows: i.rows, cost: total / opens.max(1.0) }
             }
-            L::Exchange { source, body, .. } => {
-                let s = self.est(source, opens, env, rec);
-                env.partition_rows = s.rows;
-                let b = self.est(body, opens, env, rec);
-                Est { rows: b.rows, cost: s.cost + b.cost }
-            }
-            L::PartitionSource => Est { rows: env.partition_rows, cost: 0.0 },
         }
     }
 
@@ -718,12 +709,7 @@ impl Optimizer<'_> {
             L::TmpCs { input, cs, group } => {
                 L::TmpCs { input: Box::new(self.rewrite(*input, opens, env)), cs, group }
             }
-            L::Exchange { source, body, partitions } => L::Exchange {
-                source: Box::new(self.rewrite(*source, opens, env)),
-                body: Box::new(self.rewrite(*body, opens, env)),
-                partitions,
-            },
-            leaf @ (L::Singleton | L::PartitionSource) => leaf,
+            leaf @ L::Singleton => leaf,
         }
     }
 

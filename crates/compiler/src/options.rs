@@ -47,11 +47,6 @@ pub struct TranslateOptions {
     /// order/duplicate property analysis of Hidders & Michiels (the
     /// refinement §4.1 cites as ref. [13] but skips).
     pub prune_properties: bool,
-    /// DESIGN.md §14 — intra-query parallelism degree. When > 1 the
-    /// parallelize pass inserts Exchange operators above parallel-safe
-    /// expensive spine segments; 1 (the default and every preset)
-    /// compiles the exact serial plan, with no Exchange anywhere.
-    pub threads: usize,
     /// Cost-based optimizer pass over the translated plan; `Off` in
     /// every preset so the paper translations stay byte-exact.
     pub optimize: CostMode,
@@ -67,7 +62,6 @@ impl TranslateOptions {
             memoize_inner: false,
             split_expensive: false,
             prune_properties: false,
-            threads: 1,
             optimize: CostMode::Off,
         }
     }
@@ -80,7 +74,6 @@ impl TranslateOptions {
             memoize_inner: true,
             split_expensive: true,
             prune_properties: false,
-            threads: 1,
             optimize: CostMode::Off,
         }
     }
@@ -103,14 +96,6 @@ impl TranslateOptions {
     /// Builder: cost-based optimizer mode.
     pub fn with_optimize(mut self, mode: CostMode) -> TranslateOptions {
         self.optimize = mode;
-        self
-    }
-
-    /// Builder: intra-query parallelism degree (0 is normalised to the
-    /// machine's available parallelism by the execution surfaces; here 0
-    /// just means "pick later" and compiles serially).
-    pub fn with_threads(mut self, threads: usize) -> TranslateOptions {
-        self.threads = threads;
         self
     }
 }
@@ -320,9 +305,6 @@ mod tests {
         assert!(!i.prune_properties, "pruning is a beyond-paper extension");
         assert_eq!(TranslateOptions::default(), i);
         assert!(TranslateOptions::extended().prune_properties);
-        assert_eq!(c.threads, 1, "every preset compiles serially");
-        assert_eq!(i.threads, 1);
-        assert_eq!(TranslateOptions::extended().with_threads(4).threads, 4);
         assert_eq!(c.optimize, CostMode::Off, "paper presets never optimize");
         assert_eq!(i.optimize, CostMode::Off);
         assert_eq!(TranslateOptions::extended().optimize, CostMode::Off);

@@ -103,10 +103,10 @@ pub fn compile_ast_with_stats(
         return Ok((translate(ast, opts)?, None));
     }
     let stats = stats.expect("cost_active implies stats");
-    // Factor prune/parallelize out of translation (the same split
-    // compile_traced uses, with the same tested equivalence) so the
-    // optimizer sees the raw translated plan.
-    let unpruned = TranslateOptions { prune_properties: false, threads: 1, ..*opts };
+    // Factor pruning out of translation (the same split compile_traced
+    // uses, with the same tested equivalence) so the optimizer sees the
+    // raw translated plan.
+    let unpruned = TranslateOptions { prune_properties: false, ..*opts };
     let compiled = translate(ast, &unpruned)?;
     let (compiled, trace) = optimize_phase(ast, compiled, opts, stats)?;
     let compiled = if opts.prune_properties {
@@ -120,14 +120,6 @@ pub fn compile_ast_with_stats(
         }
     } else {
         compiled
-    };
-    let compiled = match compiled {
-        CompiledQuery::Sequence(plan) => {
-            CompiledQuery::Sequence(crate::properties::parallelize(plan, opts.threads).0)
-        }
-        CompiledQuery::Scalar(expr) => {
-            CompiledQuery::Scalar(crate::properties::parallelize_scalar(expr, opts.threads).0)
-        }
     };
     Ok((compiled, Some(trace)))
 }
@@ -144,12 +136,7 @@ fn optimize_phase(
 ) -> Result<(CompiledQuery, OptimizerTrace), PipelineError> {
     let (best, mut decisions) = cost::optimize(compiled, stats);
     let (best, decisions) = if opts.stacked_outer {
-        let alt_opts = TranslateOptions {
-            stacked_outer: false,
-            prune_properties: false,
-            threads: 1,
-            ..*opts
-        };
+        let alt_opts = TranslateOptions { stacked_outer: false, prune_properties: false, ..*opts };
         let alt = translate(ast, &alt_opts)?;
         let (alt, alt_decisions) = cost::optimize(alt, stats);
         let est_stacked = cost::estimate_total(&best, stats);
@@ -219,10 +206,10 @@ pub fn compile_traced_with_stats(
     }
     trace.add_phase("fold", t0.elapsed().as_nanos() as u64);
 
-    // Translate with the pruning extension and the parallelize pass
-    // factored out so each can be timed as its own phase (normalization
-    // runs lazily per predicate inside translation, per §5.1).
-    let unpruned_opts = TranslateOptions { prune_properties: false, threads: 1, ..*opts };
+    // Translate with the pruning extension factored out so it can be
+    // timed as its own phase (normalization runs lazily per predicate
+    // inside translation, per §5.1).
+    let unpruned_opts = TranslateOptions { prune_properties: false, ..*opts };
     let t0 = Instant::now();
     let compiled = translate(&folded, &unpruned_opts)?;
     trace.add_phase("translate", t0.elapsed().as_nanos() as u64);
@@ -259,30 +246,6 @@ pub fn compile_traced_with_stats(
             trace.rewrites.push(format!("property-prune (-{} ops)", trace.pruned_ops));
         }
         pruned
-    } else {
-        compiled
-    };
-    let compiled = if opts.threads > 1 {
-        let t0 = Instant::now();
-        let inserted;
-        let parallel = match compiled {
-            CompiledQuery::Sequence(plan) => {
-                let (plan, n) = crate::properties::parallelize(plan, opts.threads);
-                inserted = n;
-                CompiledQuery::Sequence(plan)
-            }
-            CompiledQuery::Scalar(expr) => {
-                let (expr, n) = crate::properties::parallelize_scalar(expr, opts.threads);
-                inserted = n;
-                CompiledQuery::Scalar(expr)
-            }
-        };
-        trace.add_phase("parallelize", t0.elapsed().as_nanos() as u64);
-        trace.record_plan(&parallel);
-        if inserted > 0 {
-            trace.rewrites.push(format!("parallelize ×{inserted}"));
-        }
-        parallel
     } else {
         compiled
     };
@@ -593,45 +556,6 @@ mod tests {
             "{:?}",
             trace.rewrites
         );
-    }
-
-    #[test]
-    fn threads_one_takes_exact_serial_path() {
-        // Satellite of DESIGN.md §14: --threads 1 must compile the
-        // byte-identical serial plan — no Exchange anywhere, structural
-        // plan equality with the default options.
-        for q in [
-            "//a//b",
-            "/a/b[c]",
-            "count(//a[b])",
-            "/dblp/article[year='1991']/@key",
-        ] {
-            let serial = compile(q, &TranslateOptions::improved()).unwrap();
-            let one = compile(q, &TranslateOptions::improved().with_threads(1)).unwrap();
-            assert_eq!(serial, one, "{q}");
-            let zero = compile(q, &TranslateOptions::improved().with_threads(0)).unwrap();
-            assert_eq!(serial, zero, "{q}");
-        }
-    }
-
-    #[test]
-    fn threads_many_inserts_exchange_and_traces_phase() {
-        let opts = TranslateOptions::improved().with_threads(4);
-        let (compiled, trace) = compile_traced("//a//b", &opts).unwrap();
-        let text = match &compiled {
-            CompiledQuery::Sequence(p) => explain(p),
-            CompiledQuery::Scalar(s) => s.to_string(),
-        };
-        assert!(text.contains("⇶[4]"), "{text}");
-        assert!(trace.phases.iter().any(|p| p.name == "parallelize"), "{:?}", trace.phases);
-        assert!(
-            trace.rewrites.iter().any(|r| r.starts_with("parallelize ×")),
-            "{:?}",
-            trace.rewrites
-        );
-        // Tracing must not change the produced query.
-        let plain = compile("//a//b", &opts).unwrap();
-        assert_eq!(plain, compiled);
     }
 
     #[test]

@@ -156,9 +156,6 @@ pub fn props_of(plan: &LogicalOp, attr: &str) -> Props {
         | LogicalOp::AntiJoin { .. }
         | LogicalOp::Concat { .. }
         | LogicalOp::TokenizeMap { .. } => Props::none(),
-        // The parallelize pass runs after pruning, so Exchange never
-        // feeds another property decision; stay conservative.
-        LogicalOp::Exchange { .. } | LogicalOp::PartitionSource => Props::none(),
     }
 }
 
@@ -247,12 +244,6 @@ fn map_children<R>(
         L::SortBy { input, attr } => L::SortBy { input: Box::new(f(r, *input)), attr },
         L::TmpCs { input, cs, group } => L::TmpCs { input: Box::new(f(r, *input)), cs, group },
         L::MemoX { input, key } => L::MemoX { input: Box::new(f(r, *input)), key },
-        L::Exchange { source, body, partitions } => L::Exchange {
-            source: Box::new(f(r, *source)),
-            body: Box::new(f(r, *body)),
-            partitions,
-        },
-        L::PartitionSource => L::PartitionSource,
     }
 }
 
@@ -298,100 +289,8 @@ fn prune_scalar(e: ScalarExpr, rep: &mut Vec<String>) -> ScalarExpr {
     }
 }
 
-// ===================== Intra-query parallelism =====================
-//
-// The parallelize pass (DESIGN.md §14) inserts Volcano-style Exchange
-// operators above parallel-safe spine segments. An `Exchange{source,
-// body, partitions}` drains `source` serially, splits its tuples into
-// contiguous chunks, runs a replica of `body` (whose single
-// PartitionSource leaf yields one chunk) per worker thread, and merges
-// the chunk results back in source order — byte-identical to the serial
-// plan because every operator admitted to a body is *partition
-// transparent*: its output for a contiguous run of input tuples depends
-// only on that run, so concatenating per-chunk outputs in chunk order
-// reproduces the serial output.
-
-/// Is `op` safe on the partitioned spine of an Exchange body?
-///
-/// The disqualified spine operators all carry state across the tuples
-/// of one `open()`: counters (χ counter++), context-size buffers
-/// (Tmp^cs), dedup/sort/memo tables and union position. d-join and
-/// semi-/anti-join qualify because their right sides are re-opened per
-/// left tuple and reset all per-evaluation state on `open` — each
-/// worker replica owns a private right side.
-fn partition_transparent(op: &LogicalOp) -> bool {
-    matches!(
-        op,
-        LogicalOp::Select { .. }
-            | LogicalOp::MapExpr { .. }
-            | LogicalOp::MemoMap { .. }
-            | LogicalOp::Rename { .. }
-            | LogicalOp::UnnestMap { .. }
-            | LogicalOp::TokenizeMap { .. }
-            | LogicalOp::DJoin { .. }
-            | LogicalOp::SemiJoin { .. }
-            | LogicalOp::AntiJoin { .. }
-    )
-}
-
-/// Does running `op` per input tuple cost enough to amortise the
-/// thread fan-out?
-fn spine_expensive(op: &LogicalOp) -> bool {
-    match op {
-        LogicalOp::UnnestMap { axis, .. } => recursive_axis(*axis),
-        // Dependent joins re-evaluate their right side per left tuple;
-        // worth fanning out whenever the right side does real work.
-        LogicalOp::DJoin { right, .. } => has_real_work(right),
-        LogicalOp::SemiJoin { .. } | LogicalOp::AntiJoin { .. } => true,
-        // Maps and filters are cheap unless they evaluate a nested
-        // aggregate plan per tuple.
-        LogicalOp::Select { pred, .. } => scalar_has_plan(pred),
-        LogicalOp::MapExpr { expr, .. }
-        | LogicalOp::MemoMap { expr, .. }
-        | LogicalOp::TokenizeMap { expr, .. } => scalar_has_plan(expr),
-        _ => false,
-    }
-}
-
-/// Axes whose evaluation walks an unbounded region of the document.
-fn recursive_axis(axis: Axis) -> bool {
-    matches!(
-        axis,
-        Axis::Descendant
-            | Axis::DescendantOrSelf
-            | Axis::Ancestor
-            | Axis::AncestorOrSelf
-            | Axis::Following
-            | Axis::Preceding
-            | Axis::FollowingSibling
-            | Axis::PrecedingSibling
-    )
-}
-
-fn scalar_has_plan(e: &ScalarExpr) -> bool {
-    !algebra::explain::scalar_aggs(e).is_empty()
-}
-
-/// Any operator in `plan` (predicates included) that navigates the
-/// document or evaluates nested plans.
-fn has_real_work(plan: &LogicalOp) -> bool {
-    match plan {
-        LogicalOp::UnnestMap { .. }
-        | LogicalOp::TokenizeMap { .. }
-        | LogicalOp::DJoin { .. }
-        | LogicalOp::Cross { .. }
-        | LogicalOp::SemiJoin { .. }
-        | LogicalOp::AntiJoin { .. } => true,
-        LogicalOp::Select { input, pred } => scalar_has_plan(pred) || has_real_work(input),
-        LogicalOp::MapExpr { input, expr, .. } | LogicalOp::MemoMap { input, expr, .. } => {
-            scalar_has_plan(expr) || has_real_work(input)
-        }
-        other => other.children().into_iter().any(has_real_work),
-    }
-}
-
-/// Statically at most one tuple: partitioning such a stream cannot
-/// produce parallelism, so it is never worth an Exchange.
+/// Statically at most one tuple (the input of the single-context axis
+/// transitions in [`props_of`]).
 fn trivially_singleton(plan: &LogicalOp) -> bool {
     match plan {
         LogicalOp::Singleton => true,
@@ -408,230 +307,6 @@ fn trivially_singleton(plan: &LogicalOp) -> bool {
             trivially_singleton(left)
         }
         _ => false,
-    }
-}
-
-/// Spine operators that never grow their input stream (so a singleton
-/// below them stays a singleton).
-fn preserves_cardinality(op: &LogicalOp) -> bool {
-    matches!(
-        op,
-        LogicalOp::Select { .. }
-            | LogicalOp::MapExpr { .. }
-            | LogicalOp::MemoMap { .. }
-            | LogicalOp::Rename { .. }
-            | LogicalOp::SemiJoin { .. }
-            | LogicalOp::AntiJoin { .. }
-    )
-}
-
-/// Detach the spine input of a transparent operator, leaving a
-/// PartitionSource placeholder in its place.
-fn take_spine_input(op: &mut LogicalOp) -> LogicalOp {
-    use LogicalOp as L;
-    let slot = match op {
-        L::Select { input, .. }
-        | L::MapExpr { input, .. }
-        | L::MemoMap { input, .. }
-        | L::Rename { input, .. }
-        | L::UnnestMap { input, .. }
-        | L::TokenizeMap { input, .. } => input,
-        L::DJoin { left, .. } | L::SemiJoin { left, .. } | L::AntiJoin { left, .. } => left,
-        _ => unreachable!("take_spine_input on a non-transparent operator"),
-    };
-    *std::mem::replace(slot, Box::new(L::PartitionSource))
-}
-
-fn set_spine_input(op: &mut LogicalOp, child: LogicalOp) {
-    use LogicalOp as L;
-    let slot = match op {
-        L::Select { input, .. }
-        | L::MapExpr { input, .. }
-        | L::MemoMap { input, .. }
-        | L::Rename { input, .. }
-        | L::UnnestMap { input, .. }
-        | L::TokenizeMap { input, .. } => input,
-        L::DJoin { left, .. } | L::SemiJoin { left, .. } | L::AntiJoin { left, .. } => left,
-        _ => unreachable!("set_spine_input on a non-transparent operator"),
-    };
-    **slot = child;
-}
-
-/// Re-stack a peeled spine prefix (top-first order) onto `bottom`.
-fn rebuild(segment: Vec<LogicalOp>, bottom: LogicalOp) -> LogicalOp {
-    let mut acc = bottom;
-    for mut op in segment.into_iter().rev() {
-        set_spine_input(&mut op, acc);
-        acc = op;
-    }
-    acc
-}
-
-/// Insert Exchange operators above parallel-safe expensive spine
-/// segments of `plan`. Returns the rewritten plan and the number of
-/// Exchanges inserted. `partitions < 2` returns the plan untouched —
-/// single-threaded compilation takes the exact serial path.
-pub fn parallelize(plan: LogicalOp, partitions: usize) -> (LogicalOp, usize) {
-    if partitions < 2 {
-        return (plan, 0);
-    }
-    let mut inserted = 0;
-    let plan = par_plan(plan, partitions, &mut inserted);
-    (plan, inserted)
-}
-
-fn par_plan(plan: LogicalOp, partitions: usize, inserted: &mut usize) -> LogicalOp {
-    // Peel the transparent spine prefix (top-first); each peeled
-    // operator keeps a PartitionSource placeholder where its spine
-    // input was.
-    let mut segment: Vec<LogicalOp> = Vec::new();
-    let mut cur = plan;
-    while partition_transparent(&cur) {
-        let child = take_spine_input(&mut cur);
-        segment.push(cur);
-        cur = child;
-    }
-
-    // Pick the LOWEST expensive spine operator whose input stream is
-    // not statically a singleton: splitting as low as possible puts the
-    // most work inside the body and keeps the serially-drained source
-    // small.
-    let mut input_ts = trivially_singleton(&cur);
-    let mut choice: Option<usize> = None;
-    for i in (0..segment.len()).rev() {
-        if spine_expensive(&segment[i]) && !input_ts {
-            choice = Some(i);
-            break;
-        }
-        input_ts = input_ts && preserves_cardinality(&segment[i]);
-    }
-
-    match choice {
-        Some(i) => {
-            let below = segment.split_off(i + 1);
-            // The split operator's placeholder stays: it becomes the
-            // body's PartitionSource leaf.
-            let split_op = segment.pop().expect("split index within segment");
-            let source = par_plan(rebuild(below, cur), partitions, inserted);
-            let body = rebuild(segment, split_op);
-            *inserted += 1;
-            LogicalOp::exchange(source, body, partitions)
-        }
-        None => rebuild(segment, par_bottom(cur, partitions, inserted)),
-    }
-}
-
-/// Recurse through a non-transparent segment boundary: the boundary
-/// operator runs serially, but the pipelines feeding it may still be
-/// parallelized.
-fn par_bottom(plan: LogicalOp, partitions: usize, inserted: &mut usize) -> LogicalOp {
-    use LogicalOp as L;
-    match plan {
-        L::DedupBy { input, attr } => {
-            let input = par_plan(*input, partitions, inserted);
-            // Partition-local pre-dedup: when the stream being deduped is
-            // an Exchange, shed chunk-local duplicates inside each worker
-            // before the merge materialises them. Correct because a
-            // chunk-local first occurrence can never be a duplicate of a
-            // *later* tuple — the global Π^D above keeps exactly the
-            // stream-order first occurrence either way — and profitable
-            // because the duplicate blow-up (Gottlob chains, Fig. 6–9
-            // axes) is precisely what the body produces.
-            let input = match input {
-                L::Exchange { source, body, partitions: n } => L::Exchange {
-                    source,
-                    body: Box::new(L::DedupBy { input: body, attr: attr.clone() }),
-                    partitions: n,
-                },
-                other => other,
-            };
-            L::DedupBy { input: Box::new(input), attr }
-        }
-        L::SortBy { input, attr } => L::SortBy {
-            input: Box::new(par_plan(*input, partitions, inserted)),
-            attr,
-        },
-        L::TmpCs { input, cs, group } => L::TmpCs {
-            input: Box::new(par_plan(*input, partitions, inserted)),
-            cs,
-            group,
-        },
-        L::CounterMap { input, attr, reset_on } => L::CounterMap {
-            input: Box::new(par_plan(*input, partitions, inserted)),
-            attr,
-            reset_on,
-        },
-        L::MemoX { input, key } => {
-            L::MemoX { input: Box::new(par_plan(*input, partitions, inserted)), key }
-        }
-        L::Concat { parts } => L::Concat {
-            parts: parts.into_iter().map(|p| par_plan(p, partitions, inserted)).collect(),
-        },
-        L::Cross { left, right } => {
-            L::Cross { left: Box::new(par_plan(*left, partitions, inserted)), right }
-        }
-        // Singleton, PartitionSource, or an Exchange from a previous
-        // run of the pass.
-        other => other,
-    }
-}
-
-/// Parallelize the aggregate plans of a top-level scalar query.
-///
-/// `exists()` is excluded: smart aggregation stops it after the first
-/// tuple (paper §5.2.5), and an Exchange would eagerly evaluate every
-/// partition, defeating the early exit. All other aggregates consume
-/// their whole input, so fanning the plan out is pure gain.
-pub fn parallelize_scalar(e: ScalarExpr, partitions: usize) -> (ScalarExpr, usize) {
-    if partitions < 2 {
-        return (e, 0);
-    }
-    let mut inserted = 0;
-    let e = par_scalar(e, partitions, &mut inserted);
-    (e, inserted)
-}
-
-fn par_scalar(e: ScalarExpr, partitions: usize, inserted: &mut usize) -> ScalarExpr {
-    use algebra::scalar::AggFunc;
-    use ScalarExpr as S;
-    match e {
-        S::Agg(mut agg) => {
-            if agg.func != AggFunc::Exists {
-                agg.plan = Box::new(par_plan(*agg.plan, partitions, inserted));
-            }
-            S::Agg(agg)
-        }
-        S::And(a, b) => S::And(
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Or(a, b) => S::Or(
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Not(a) => S::Not(Box::new(par_scalar(*a, partitions, inserted))),
-        S::Neg(a) => S::Neg(Box::new(par_scalar(*a, partitions, inserted))),
-        S::Compare { op, mode, lhs, rhs } => S::Compare {
-            op,
-            mode,
-            lhs: Box::new(par_scalar(*lhs, partitions, inserted)),
-            rhs: Box::new(par_scalar(*rhs, partitions, inserted)),
-        },
-        S::Arith(op, a, b) => S::Arith(
-            op,
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Convert(k, a) => S::Convert(k, Box::new(par_scalar(*a, partitions, inserted))),
-        S::StrFn(f, args) => {
-            S::StrFn(f, args.into_iter().map(|a| par_scalar(a, partitions, inserted)).collect())
-        }
-        S::NumFn(f, a) => S::NumFn(f, Box::new(par_scalar(*a, partitions, inserted))),
-        S::NodeFn(f, a) => S::NodeFn(f, Box::new(par_scalar(*a, partitions, inserted))),
-        S::Lang(a, ctx) => S::Lang(Box::new(par_scalar(*a, partitions, inserted)), ctx),
-        S::Deref(a) => S::Deref(Box::new(par_scalar(*a, partitions, inserted))),
-        S::RootOf(a) => S::RootOf(Box::new(par_scalar(*a, partitions, inserted))),
-        leaf @ (S::Const(_) | S::Attr(_) | S::Var(_)) => leaf,
     }
 }
 
@@ -709,98 +384,6 @@ mod tests {
         let pruned = prune(plan("(/a/b | /a/c)[2]"));
         let text = explain(&pruned);
         assert!(text.contains("Sort["), "{text}");
-    }
-
-    #[test]
-    fn parallelize_splits_nested_descendant_chain() {
-        // //a//b: the second descendant step runs once per a — the pass
-        // fans it out, keeping the inner //a as the serial source.
-        let p = prune(plan("//a//b"));
-        let (par, n) = parallelize(p, 4);
-        assert_eq!(n, 1);
-        let text = explain(&par);
-        assert!(text.contains("⇶[4]"), "{text}");
-        assert!(text.contains("▤"), "{text}");
-    }
-
-    #[test]
-    fn parallelize_leaves_cheap_chains_serial() {
-        let p = prune(plan("/a/b/c"));
-        let (par, n) = parallelize(p, 4);
-        assert_eq!(n, 0);
-        assert!(!explain(&par).contains("⇶"));
-    }
-
-    #[test]
-    fn parallelize_skips_singleton_fed_descendant() {
-        // //a: one descendant scan seeded by the single root tuple —
-        // partitioning a one-tuple stream cannot produce parallelism.
-        let p = prune(plan("//a"));
-        let (_, n) = parallelize(p, 4);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn parallelize_fans_out_predicate_evaluation() {
-        // //a[b]: the nested existence plan runs per a — the σ becomes
-        // the Exchange body.
-        let p = prune(plan("//a[b]"));
-        let (par, n) = parallelize(p, 4);
-        assert_eq!(n, 1, "{}", explain(&par));
-        assert!(explain(&par).contains("⇶[4]"));
-    }
-
-    #[test]
-    fn parallelize_pre_dedups_inside_workers() {
-        // A Π^D directly above the Exchange is duplicated into the body:
-        // workers shed chunk-local duplicates before the merge, the
-        // global Π^D keeps exactly the serial survivors.
-        let p = prune(plan("/a/descendant::*/ancestor::*"));
-        let (par, n) = parallelize(p, 4);
-        assert_eq!(n, 1);
-        fn exchange_body(op: &LogicalOp) -> Option<&LogicalOp> {
-            if let LogicalOp::Exchange { body, .. } = op {
-                return Some(body);
-            }
-            op.children().into_iter().find_map(exchange_body)
-        }
-        let body = exchange_body(&par).expect("an Exchange was inserted");
-        assert!(
-            matches!(body, LogicalOp::DedupBy { .. }),
-            "body root must be the partition-local Π^D: {}",
-            explain(&par)
-        );
-    }
-
-    #[test]
-    fn parallelize_with_one_partition_is_identity() {
-        let p = prune(plan("//a//b"));
-        let (q, n) = parallelize(p.clone(), 1);
-        assert_eq!(n, 0);
-        assert_eq!(q, p);
-    }
-
-    #[test]
-    fn parallelize_scalar_count_but_not_exists() {
-        use algebra::scalar::{AggExpr, AggFunc};
-        let p = prune(plan("//a//b"));
-        let count = ScalarExpr::Agg(AggExpr {
-            func: AggFunc::Count,
-            plan: Box::new(p.clone()),
-            over: "cn".into(),
-            independent: false,
-        });
-        let (_, n) = parallelize_scalar(count, 4);
-        assert_eq!(n, 1);
-        // exists() keeps its smart-aggregation early exit.
-        let exists = ScalarExpr::Agg(AggExpr {
-            func: AggFunc::Exists,
-            plan: Box::new(p),
-            over: "cn".into(),
-            independent: false,
-        });
-        let (_, n) = parallelize_scalar(exists, 4);
-        assert_eq!(n, 0);
     }
 
     #[test]

@@ -200,8 +200,6 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
         LogicalOp::SortBy { .. } => "Sort",
         LogicalOp::TmpCs { .. } => "Tmp^cs",
         LogicalOp::MemoX { .. } => "𝔐",
-        LogicalOp::Exchange { .. } => "⇶",
-        LogicalOp::PartitionSource => "▤",
     }
 }
 

@@ -92,9 +92,6 @@ pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, Com
             } else {
                 plan
             };
-            // Intra-query parallelism last: Exchange placement must see
-            // the final serial plan shape (threads < 2 is the identity).
-            let (plan, _) = crate::properties::parallelize(plan, opts.threads);
             Ok(CompiledQuery::Sequence(plan))
         }
         _ => {
@@ -104,7 +101,6 @@ pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, Com
             } else {
                 scalar
             };
-            let (scalar, _) = crate::properties::parallelize_scalar(scalar, opts.threads);
             Ok(CompiledQuery::Scalar(scalar))
         }
     }

@@ -355,13 +355,6 @@ pub struct MemoXIter {
     input: Box<dyn PhysIter>,
     key: Slot,
     table: HashMap<GroupKey, Arc<Vec<Tuple>>>,
-    /// Concurrent table shared with the other body replicas of an
-    /// Exchange; `None` (the serial default) uses the private `table`.
-    shared: Option<Arc<crate::iter::SharedMemo>>,
-    /// Report table-size gauges (shared mode: only replica 0 does, so
-    /// the merged profile doesn't multiply the table by the replica
-    /// count).
-    report_entries: bool,
     mode: MemoMode,
     ledger: ChargeLedger,
     /// Statistics: cache hits (observable for tests/ablations).
@@ -385,8 +378,6 @@ impl MemoXIter {
             input,
             key,
             table: HashMap::new(),
-            shared: None,
-            report_entries: true,
             mode: MemoMode::Idle,
             ledger: ChargeLedger::new(),
             hits: 0,
@@ -394,33 +385,12 @@ impl MemoXIter {
             stored_tuples: 0,
         }
     }
-
-    /// New MemoX backed by a table shared across Exchange body replicas.
-    pub fn new_shared(
-        input: Box<dyn PhysIter>,
-        key: Slot,
-        shared: Arc<crate::iter::SharedMemo>,
-        report_entries: bool,
-    ) -> MemoXIter {
-        MemoXIter {
-            shared: Some(shared),
-            report_entries,
-            ..MemoXIter::new(input, key)
-        }
-    }
-
-    fn lookup(&self, key: &GroupKey) -> Option<Arc<Vec<Tuple>>> {
-        match &self.shared {
-            Some(shared) => shared.get(key),
-            None => self.table.get(key).cloned(),
-        }
-    }
 }
 
 impl PhysIter for MemoXIter {
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
         let key = GroupKey::of(seed.get(self.key).unwrap_or(&Value::Null), rt);
-        if let Some(seq) = self.lookup(&key) {
+        if let Some(seq) = self.table.get(&key).cloned() {
             self.hits += 1;
             self.mode = MemoMode::Replay { seq, pos: 0 };
         } else {
@@ -460,28 +430,11 @@ impl PhysIter for MemoXIter {
                     }
                     let key = key.clone();
                     let acc = std::mem::take(acc);
-                    match &self.shared {
-                        Some(shared) => {
-                            let n = acc.len() as u64;
-                            let (_, won) = shared.insert(key, acc);
-                            if won {
-                                self.stored_tuples += n;
-                                // The table entry survives re-opens:
-                                // reclassify its bytes as persistent.
-                                self.ledger.commit_all(rt.gov);
-                            } else {
-                                // Another replica recorded this key
-                                // first: discard the duplicate and
-                                // return its transient charge.
-                                self.ledger.release_all(rt.gov);
-                            }
-                        }
-                        None => {
-                            self.stored_tuples += acc.len() as u64;
-                            self.table.insert(key, Arc::new(acc));
-                            self.ledger.commit_all(rt.gov);
-                        }
-                    }
+                    self.stored_tuples += acc.len() as u64;
+                    self.table.insert(key, Arc::new(acc));
+                    // The table entry survives re-opens: reclassify its
+                    // bytes as persistent.
+                    self.ledger.commit_all(rt.gov);
                     self.input.close(rt);
                     self.mode = MemoMode::Idle;
                     None
@@ -503,14 +456,8 @@ impl PhysIter for MemoXIter {
     fn gauges(&self, out: &mut Vec<Gauge>) {
         out.push(("memo_hits", self.hits));
         out.push(("memo_misses", self.misses));
-        if self.report_entries {
-            let (entries, tuples) = match &self.shared {
-                Some(shared) => (shared.entries(), shared.stored_tuples()),
-                None => (self.table.len() as u64, self.stored_tuples),
-            };
-            out.push(("memo_entries", entries));
-            out.push(("memo_tuples", tuples));
-        }
+        out.push(("memo_entries", self.table.len() as u64));
+        out.push(("memo_tuples", self.stored_tuples));
         self.ledger.gauges(out);
     }
 }

@@ -5,13 +5,11 @@
 //! which implements free-variable binding (§2.2.2).
 
 mod basic;
-mod exchange;
 mod group;
 mod join;
 mod path;
 
 pub use basic::{ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter};
-pub use exchange::{ExchangeIter, ParallelStats, PartitionFeed, PartitionSourceIter, SharedMemo};
 pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
 pub use path::{TokenizeIter, UnnestMapIter};
@@ -29,11 +27,7 @@ use crate::nvm::{self, Program};
 pub type Gauge = (&'static str, u64);
 
 /// The iterator interface of the physical algebra.
-///
-/// `Send` is a supertrait: the Exchange operator moves whole plan
-/// replicas into scoped worker threads, so every iterator (and
-/// everything it owns) must be transferable.
-pub trait PhysIter: Send {
+pub trait PhysIter {
     /// (Re-)start the iterator with an outer binding tuple. Caches
     /// (MemoX, χ^mat, independent aggregates) survive re-opens.
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple);

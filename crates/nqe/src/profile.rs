@@ -16,11 +16,10 @@ use parking_lot::Mutex;
 use algebra::Tuple;
 
 use crate::exec::Runtime;
-use crate::iter::{Gauge, ParallelStats, PhysIter};
+use crate::iter::{Gauge, PhysIter};
 
-/// Shared, thread-safe counters of one physical operator. `Arc<Mutex<…>>`
-/// rather than `Rc<RefCell<…>>` because Exchange worker replicas carry
-/// their own counter shards across threads.
+/// Counters of one physical operator, shared between the
+/// [`ProfiledIter`] that updates them and the [`Profile`] that reads them.
 pub type SharedStats = Arc<Mutex<OpStats>>;
 
 /// Counters of one physical operator.
@@ -40,23 +39,6 @@ pub struct OpStats {
     pub gauges: Vec<Gauge>,
 }
 
-impl OpStats {
-    /// Accumulate `other` into `self`: counters add, gauges add by name
-    /// (appending names `self` has not seen). Used to fold per-worker
-    /// Exchange shards into the displayed profile row.
-    pub fn accumulate(&mut self, other: &OpStats) {
-        self.opens += other.opens;
-        self.tuples += other.tuples;
-        self.nanos += other.nanos;
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => *cur += v,
-                None => self.gauges.push((name, *v)),
-            }
-        }
-    }
-}
-
 /// One profiled operator: label, plan depth, counters.
 pub struct ProfileEntry {
     /// Operator label in the paper's notation (σ, Υ, Π^D, …).
@@ -73,10 +55,6 @@ pub struct ProfileEntry {
 pub struct Profile {
     /// Entries in plan order.
     pub entries: Vec<ProfileEntry>,
-    /// Per-Exchange parallel execution statistics (workers, partitions,
-    /// per-worker tuple counts, merge time), one entry per Exchange
-    /// operator in plan order. Empty for serial plans.
-    pub parallel: Vec<Arc<Mutex<ParallelStats>>>,
 }
 
 impl Profile {

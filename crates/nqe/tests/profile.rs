@@ -216,7 +216,6 @@ fn report_columns_stay_aligned_across_magnitudes() {
             entry("Mid", 1, 1_234_567, 3, 1_999_999_999),
             entry("Leaf", 2, 1, 1, 7),
         ],
-        parallel: Vec::new(),
     };
     let report = profile.report();
     let lines: Vec<&str> = report.lines().collect();
@@ -238,7 +237,6 @@ fn profile_helpers() {
             entry("C", 2, 1, 2, 100),
             entry("D", 1, 1, 2, 300),
         ],
-        parallel: Vec::new(),
     };
     assert_eq!(profile.total_time(), Duration::from_nanos(1000));
     assert_eq!(profile.max_depth(), 2);

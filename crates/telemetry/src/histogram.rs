@@ -47,8 +47,8 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, lo + (width - 1))
 }
 
-/// Shared histogram state. All counters are atomics so Exchange workers
-/// and concurrent sessions can record into one histogram without locks.
+/// Shared histogram state. All counters are atomics so the service's
+/// concurrent workers can record into one histogram without locks.
 pub struct HistogramCore {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,

@@ -28,12 +28,7 @@ pub enum ContentKind {
 /// [`DiskStore`](crate::diskstore::DiskStore) (slotted pages behind a buffer
 /// manager). All navigation used by the physical algebra goes through this
 /// trait, so plans are storage-agnostic.
-///
-/// `Sync` is a supertrait: the Exchange operator shares one store across
-/// its worker threads. Both implementations already qualify — the arena
-/// is immutable after build, and the disk store's buffer manager and
-/// fault latch are lock-protected.
-pub trait XmlStore: Sync {
+pub trait XmlStore {
     /// The document node (always [`NodeId::DOCUMENT`]).
     fn root(&self) -> NodeId {
         NodeId::DOCUMENT

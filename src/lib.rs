@@ -274,19 +274,6 @@ impl XPathEngine {
         self
     }
 
-    /// This engine with a worker-thread count for parallel execution
-    /// (builder style). `1` is the exact serial path; `0` resolves to all
-    /// available cores. See DESIGN.md §14.
-    pub fn with_threads(mut self, threads: usize) -> XPathEngine {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        self.options = self.options.with_threads(threads);
-        self
-    }
-
     /// Compile a query to its logical algebra form.
     pub fn compile(&self, query: &str) -> Result<CompiledQuery, NatixError> {
         Ok(compiler::compile(query, &self.options)?)

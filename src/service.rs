@@ -362,37 +362,21 @@ impl ClientSession {
                     Err(e) => Reply::Line(format!("ERR usage {e}")),
                 }
             }
-            "threads" => {
-                if rest.is_empty() {
-                    return Reply::Line(format!("OK threads {}", self.session.options.threads));
-                }
-                match rest.parse::<usize>() {
-                    Ok(n) => {
-                        self.session = self.session.clone().with_threads(n);
-                        Reply::Line(format!("OK threads {}", self.session.options.threads))
-                    }
-                    Err(_) => Reply::Line(format!("ERR usage threads: `{rest}` is not a number")),
-                }
-            }
             "options" => match rest {
                 "canonical" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::canonical().with_threads(threads);
+                    self.session.options = TranslateOptions::canonical();
                     Reply::Line("OK options canonical".to_owned())
                 }
                 "improved" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::improved().with_threads(threads);
+                    self.session.options = TranslateOptions::improved();
                     Reply::Line("OK options improved".to_owned())
                 }
                 "extended" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::extended().with_threads(threads);
+                    self.session.options = TranslateOptions::extended();
                     Reply::Line("OK options extended".to_owned())
                 }
                 "cost-based" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::cost_based().with_threads(threads);
+                    self.session.options = TranslateOptions::cost_based();
                     Reply::Line("OK options cost-based".to_owned())
                 }
                 _ => Reply::Line(
@@ -729,6 +713,9 @@ mod tests {
         assert_eq!(c.handle("query string(/a/b[2])").text(), "OK str 2");
         assert_eq!(c.handle("doc").text(), "OK docs *main");
         assert!(c.handle("stats").text().starts_with("OK cache hits="));
+        // `threads` is not a verb: the line is evaluated as XPath.
+        assert_eq!(c.handle("threads").text(), "OK nodes 0");
+        assert!(c.handle("threads 2").text().starts_with("ERR compile "));
         assert_eq!(c.handle("quit"), Reply::Close("OK bye".to_owned()));
     }
 

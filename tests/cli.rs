@@ -79,6 +79,13 @@ fn bad_flag_value_exits_with_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = cli().args(["--timeout", "xyz", "doc.xml", "/r"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // Execution is serial: there is no thread-count flag.
+    let out = cli().args(["--threads", "2", "doc.xml", "/r"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --threads"),
+        "{out:?}"
+    );
 }
 
 #[test]

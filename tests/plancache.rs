@@ -1,6 +1,6 @@
 //! Plan-cache correctness: hand-computed hit/miss/eviction sequences,
-//! static-context discrimination (same expression, different options/
-//! limits/threads must never share a plan), byte-budget eviction driven
+//! static-context discrimination (same expression, different options or
+//! limits must never share a plan), byte-budget eviction driven
 //! by [`plan_weight`], and a 1000-query exact reconcile of the cache
 //! counters against the telemetry registry (PR 6 style: the registry is
 //! an aggregation of the same events, so equality is exact).
@@ -66,7 +66,7 @@ fn lru_eviction_sequence_by_hand() {
 }
 
 /// The cache key's static-context half: any difference in translation
-/// options, thread count, execution budget or parse limits must produce
+/// options, execution budget or parse limits must produce
 /// a distinct cache entry for the same expression.
 #[test]
 fn static_context_discriminates_plans() {
@@ -77,7 +77,7 @@ fn static_context_discriminates_plans() {
         eng.session(),
         eng.session().with_options(TranslateOptions::canonical()),
         eng.session().with_options(TranslateOptions::extended()),
-        eng.session().with_threads(4),
+        eng.session().with_options(TranslateOptions::cost_based()),
         eng.session().with_limits(ResourceLimits::unlimited().with_max_tuples(10_000)),
         eng.session().with_limits(ResourceLimits::unlimited().with_max_memory(1 << 30)),
         eng.session().with_limits(ResourceLimits::unlimited().with_max_parse_depth(100)),

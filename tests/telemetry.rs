@@ -269,31 +269,6 @@ fn disk_store_page_counters_reconcile() {
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// Exchange statistics flow into the registry on profiled parallel runs.
-#[test]
-fn parallel_runs_populate_exchange_counters() {
-    let tree = generate_tree(TreeParams::small(2000));
-    let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_threads(4).with_telemetry(t.clone());
-
-    let (out, report) = engine
-        .analyze_governed(&tree, "/xdoc/descendant::*/attribute::id")
-        .expect("compiles");
-    assert!(out.is_ok());
-    if report.profile.parallel.is_empty() {
-        // Plan didn't parallelise on this shape — nothing to reconcile.
-        return;
-    }
-    assert!(registry_value(&t, "natix_exchange_runs_total") >= 1);
-    let worker_tuples: u64 = report
-        .profile
-        .parallel
-        .iter()
-        .map(|s| s.lock().worker_tuples.iter().sum::<u64>())
-        .sum();
-    assert_eq!(registry_value(&t, "natix_exchange_worker_tuples_total"), worker_tuples);
-}
-
 /// `:metrics reset` semantics: counters zero, registration and the query
 /// log survive, and aggregation continues from zero.
 #[test]
