@@ -1,14 +1,15 @@
 //! Plan pretty-printer: renders query trees in the paper's operator
 //! notation (Fig. 2–4), for diagnostics and plan-shape tests.
 
-use crate::kernel::step_kernel;
+use crate::kernel::{set_steps, step_kernel, SetSteps};
 use crate::ops::{LogicalOp, ScanHint};
 use crate::scalar::{AggExpr, ScalarExpr};
 
-/// Render a plan as an indented operator tree.
+/// Render a plan as an indented operator tree. A `Π^D ∘ Υ` pair that
+/// runs as a set step (DESIGN.md §21) renders as one `Υ^D[…]` line.
 pub fn explain(plan: &LogicalOp) -> String {
     let mut out = String::new();
-    render(plan, 0, &mut out);
+    render(plan, 0, &set_steps(plan), &mut out);
     out
 }
 
@@ -56,14 +57,19 @@ pub fn op_label(plan: &LogicalOp) -> String {
     }
 }
 
-fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
+fn render(plan: &LogicalOp, depth: usize, sites: &SetSteps<'_>, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-    out.push_str(&op_label(plan));
+    out.push_str(&sites.label(plan));
     out.push('\n');
-    for c in plan.children() {
-        render(c, depth + 1, out);
+    // A set step's only input is its Υ's.
+    let inputs = match sites.get(plan) {
+        Some(shape) => vec![shape.input],
+        None => plan.children(),
+    };
+    for c in inputs {
+        render(c, depth + 1, sites, out);
     }
     // Nested plans inside scalar subscripts, marked distinctly. A fused
     // step kernel runs as one operator, so it renders as one line.
@@ -80,7 +86,7 @@ fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
                 out.push_str(&shape.to_string());
                 out.push('\n');
             }
-            None => render(&agg.plan, depth + 2, out),
+            None => render(&agg.plan, depth + 2, sites, out),
         }
     }
 }

@@ -337,6 +337,15 @@ impl LogicalOp {
     }
 
     fn collect_referenced(&self, out: &mut Vec<Attr>) {
+        self.own_referenced(out);
+        for c in self.children() {
+            c.collect_referenced(out);
+        }
+    }
+
+    /// Attributes this operator itself reads — its subscripts, including
+    /// the free attributes of nested plans — but not its inputs.
+    pub fn own_referenced(&self, out: &mut Vec<Attr>) {
         match self {
             LogicalOp::Singleton | LogicalOp::Concat { .. } => {}
             LogicalOp::Select { pred, .. } => pred.collect_attr_refs(out),
@@ -367,9 +376,6 @@ impl LogicalOp {
                 }
             }
             LogicalOp::MemoX { key, .. } => out.push(key.clone()),
-        }
-        for c in self.children() {
-            c.collect_referenced(out);
         }
     }
 

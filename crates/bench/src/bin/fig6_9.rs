@@ -10,14 +10,32 @@
 //! EXPLAIN ANALYZE profile of the algebraic run.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin fig6_9 [--runs N] [--max-elems N] [--skip-naive] [--json out.json]
+//! cargo run --release -p bench --bin fig6_9 [--runs N] [--max-elems N] [--skip-naive] \
+//!     [--json out.json] [--update-baseline]
 //! ```
+//!
+//! `--update-baseline` pins the B15 gate configuration and its measured
+//! quantities in `results/BENCH_15_baseline.json`: the engine/interpreter
+//! ratio of q1–q4, measured in one process with the two evaluators
+//! alternating (q1, q3 and q4 at [`GATE_ELEMENTS`] elements, q2 at
+//! [`GATE_Q2_ELEMENTS`]). `bench/bin/regress --check` re-measures them and
+//! requires the q1–q4 geometric mean and each of q1–q3 to stay ≤ 1.0.
 
 use bench::{
-    arg_value, ms, ms_f, profile_report, time_query, tree_document, write_results_json, Evaluator,
-    FIG5_QUERIES, LARGE_SIZES, SMALL_SIZES,
+    arg_value, fig5_gate, fig5_times, host_json, ms, ms_f, profile_report, time_query,
+    tree_document, write_results_json, Evaluator, FIG5_QUERIES, LARGE_SIZES, SMALL_SIZES,
 };
 use nqe::Json;
+
+/// The committed gate baseline (see `bench/bin/regress`).
+const BASELINE: &str = "results/BENCH_15_baseline.json";
+
+/// Document size the gate measures q1, q3 and q4 at.
+const GATE_ELEMENTS: usize = 20_000;
+
+/// Document size the gate measures q2 at: `following` from every
+/// preceding sibling is quadratic for the interpreter.
+const GATE_Q2_ELEMENTS: usize = 2_000;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -85,5 +103,32 @@ fn main() {
     }
     if let Some(path) = json_path {
         write_results_json(&path, "fig6_9", bench::arg_seed(&args), results);
+    }
+    if args.iter().any(|a| a == "--update-baseline") {
+        eprintln!("measuring gate quantities at {GATE_ELEMENTS} / {GATE_Q2_ELEMENTS} elements…");
+        let ratios: Vec<f64> =
+            fig5_times(&tree_document(GATE_ELEMENTS), &tree_document(GATE_Q2_ELEMENTS), runs)
+                .iter()
+                .map(|(i, n)| n.as_secs_f64() / i.as_secs_f64())
+                .collect();
+        let (geomean, worst) = fig5_gate(&ratios);
+        let base = Json::obj(vec![
+            ("bench", Json::Str("fig6_9".to_owned())),
+            ("host", host_json(bench::arg_seed(&args))),
+            ("gate_elements", Json::Num(GATE_ELEMENTS as f64)),
+            ("gate_q2_elements", Json::Num(GATE_Q2_ELEMENTS as f64)),
+            ("gate_runs", Json::Num(runs as f64)),
+            ("gate_ratios", Json::Arr(ratios.iter().map(|&r| Json::Num(r)).collect())),
+            ("gate_geomean_ratio", Json::Num(geomean)),
+        ]);
+        match std::fs::write(BASELINE, base.pretty()) {
+            Ok(()) => eprintln!(
+                "baseline updated: {BASELINE} (geomean {geomean:.2}, worst of q1–q3 {worst:.2})"
+            ),
+            Err(e) => {
+                eprintln!("error: {BASELINE}: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 }

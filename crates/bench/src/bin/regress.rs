@@ -5,7 +5,7 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin regress -- --json results/BENCH_6.json
-//! cargo run --release -p bench --bin regress -- --check            # CI gate (B6–B10, B12)
+//! cargo run --release -p bench --bin regress -- --check            # CI gate (B6–B10, B12, B15)
 //! cargo run --release -p bench --bin regress -- --update-baseline  # re-pin
 //! ```
 //!
@@ -64,6 +64,15 @@ const B12_BASELINE: &str = "results/BENCH_12_baseline.json";
 /// Ceiling on both B12 quantities: the engine must not trail the
 /// context-list interpreter on the Fig. 10 predicate rows.
 const B12_CEILING: f64 = 1.0;
+
+/// The B15 Figs. 6–9 baseline carrying the engine/interpreter gate
+/// configuration (written by `bench/bin/fig6_9 --update-baseline`).
+const B15_BASELINE: &str = "results/BENCH_15_baseline.json";
+
+/// Ceiling on the B15 quantities: the engine must not trail the
+/// context-list interpreter on the Fig. 5 queries q1–q3, nor on the
+/// q1–q4 geometric mean.
+const B15_CEILING: f64 = 1.0;
 
 /// Default headroom multiplier for the `--check` gate.
 const TOLERANCE: f64 = 2.0;
@@ -523,6 +532,67 @@ fn main() {
             cur,
             format!("≤{B12_CEILING:.2}"),
             if ok { "ok" } else { "REGRESSED" }
+        );
+    }
+
+    // B15 Figs. 6–9 gate, written like B12: the engine/interpreter time
+    // ratio of the Fig. 5 queries, both evaluators alternating in this
+    // process. q1–q3 and the q1–q4 geomean are held at ≤ 1.0; q4 is
+    // reported only.
+    let b15_path =
+        arg_value(&args, "--bench15-baseline").unwrap_or_else(|| B15_BASELINE.to_owned());
+    let b15 =
+        read_baseline(&b15_path, "B15 baseline", "run `fig6_9 --update-baseline` to create one");
+    let (Some(b15_elements), Some(b15_q2_elements), Some(b15_runs), Some(b15_ratios)) = (
+        b15.get("gate_elements").and_then(Json::as_num),
+        b15.get("gate_q2_elements").and_then(Json::as_num),
+        b15.get("gate_runs").and_then(Json::as_num),
+        b15.get("gate_ratios").and_then(Json::as_arr),
+    ) else {
+        eprintln!("error: {b15_path} lacks gate_elements/gate_q2_elements/gate_runs/gate_ratios");
+        std::process::exit(2);
+    };
+    let base_ratios: Vec<f64> = b15_ratios.iter().filter_map(Json::as_num).collect();
+    if base_ratios.len() != FIG5_QUERIES.len() {
+        eprintln!("error: {b15_path} gate_ratios must hold one ratio per Fig. 5 query");
+        std::process::exit(2);
+    }
+    let ratios: Vec<f64> = bench::fig5_times(
+        &tree_document(b15_elements as usize),
+        &tree_document(b15_q2_elements as usize),
+        b15_runs as usize,
+    )
+    .iter()
+    .map(|(interp, engine)| engine.as_secs_f64() / interp.as_secs_f64())
+    .collect();
+    let rows = FIG5_QUERIES
+        .iter()
+        .enumerate()
+        .map(|(i, (name, _))| (format!("fig5_{name}"), base_ratios[i], ratios[i], *name != "q4"));
+    let geomean = |r: &[f64]| bench::fig5_gate(r).0;
+    let geo = ("fig5_geo".to_owned(), geomean(&base_ratios), geomean(&ratios), true);
+    for (name, base, cur, gated) in rows.chain([geo]) {
+        let ok = !gated || cur <= B15_CEILING;
+        if !ok {
+            failed = true;
+        }
+        println!(
+            "{:<12} {:>13.3}× {:>13.3}× {:>8} {:>8}",
+            name,
+            base,
+            cur,
+            if gated {
+                format!("≤{B15_CEILING:.2}")
+            } else {
+                "-".to_owned()
+            },
+            if !gated {
+                "info"
+            } else if ok {
+                "ok"
+            } else {
+                "REGRESSED"
+            }
         );
     }
 

@@ -403,19 +403,42 @@ pub const FIG10_R11: usize = 10;
 /// sides equally. Both run in this process, so their ratio needs no
 /// calibration workload.
 pub fn fig10_times(doc: &dyn XmlStore, runs: usize) -> Vec<(Duration, Duration)> {
-    FIG10_QUERIES
+    FIG10_QUERIES.iter().map(|q| alternating_times(doc, q, runs)).collect()
+}
+
+/// Median (interpreter, engine) times of one query, the context-list
+/// interpreter and the improved engine alternating run by run.
+fn alternating_times(doc: &dyn XmlStore, query: &str, runs: usize) -> (Duration, Duration) {
+    let (mut interp, mut engine) = (Vec::new(), Vec::new());
+    for _ in 0..runs.max(1) {
+        interp.push(time_query(Evaluator::ContextList, doc, query, 1));
+        engine.push(time_query(Evaluator::NatixImproved, doc, query, 1));
+    }
+    interp.sort();
+    engine.sort();
+    (interp[interp.len() / 2], engine[engine.len() / 2])
+}
+
+/// Median (interpreter, engine) times of the four [`FIG5_QUERIES`], the
+/// B15 gate's measurement: q2 on `q2_doc`, the others on `doc`, the two
+/// evaluators alternating as in [`fig10_times`].
+pub fn fig5_times(
+    doc: &dyn XmlStore,
+    q2_doc: &dyn XmlStore,
+    runs: usize,
+) -> Vec<(Duration, Duration)> {
+    FIG5_QUERIES
         .iter()
-        .map(|q| {
-            let (mut interp, mut engine) = (Vec::new(), Vec::new());
-            for _ in 0..runs.max(1) {
-                interp.push(time_query(Evaluator::ContextList, doc, q, 1));
-                engine.push(time_query(Evaluator::NatixImproved, doc, q, 1));
-            }
-            interp.sort();
-            engine.sort();
-            (interp[interp.len() / 2], engine[engine.len() / 2])
-        })
+        .map(|&(name, q)| alternating_times(if name == "q2" { q2_doc } else { doc }, q, runs))
         .collect()
+}
+
+/// The B15 gate quantities from the q1–q4 engine/interpreter ratios:
+/// (geometric mean over all four, the largest of q1–q3). q4 enters the
+/// geomean but is not held on its own.
+pub fn fig5_gate(ratios: &[f64]) -> (f64, f64) {
+    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    (geomean, ratios[..3].iter().copied().fold(0.0, f64::max))
 }
 
 /// The B12 gate quantities from per-row engine/interpreter ratios:

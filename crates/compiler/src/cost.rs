@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use xmlstore::{Axis, StoreStats};
 use xpath_syntax::{KindTest, NodeTest};
 
-use algebra::explain::op_label;
+use algebra::kernel::{set_steps, SetSteps};
 use algebra::scalar::AggFunc;
 use algebra::{ConvKind, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr, ScanHint};
 use xpath_syntax::CompOp;
@@ -112,7 +112,7 @@ pub struct OptimizerTrace {
 /// order (pre-order: operator, children, nested plans).
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpEstimate {
-    /// The operator label ([`op_label`] form), for pairing with profile
+    /// The operator label ([`algebra::explain::op_label`] form), for pairing with profile
     /// entries.
     pub label: String,
     /// Estimated total tuples produced across all opens.
@@ -123,7 +123,8 @@ pub struct OpEstimate {
 /// Returns the (possibly) rewritten query and the decisions taken.
 /// Deterministic in (plan, stats): cache-safe.
 pub fn optimize(q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec<Decision>) {
-    let mut opt = Optimizer { est: Estimator { stats }, decisions: Vec::new() };
+    let est = Estimator { stats, sites: SetSteps::default() };
+    let mut opt = Optimizer { est, decisions: Vec::new() };
     let mut env = Env::seed(stats);
     let q = match q {
         CompiledQuery::Sequence(plan) => CompiledQuery::Sequence(opt.rewrite(plan, 1.0, &mut env)),
@@ -137,7 +138,7 @@ pub fn optimize(q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec<Dec
 /// Estimated total cost of a query (the pipeline's outer-shape
 /// comparator).
 pub fn estimate_total(q: &CompiledQuery, stats: &StoreStats) -> f64 {
-    let est = Estimator { stats };
+    let est = Estimator { stats, sites: SetSteps::default() };
     let mut env = Env::seed(stats);
     let mut rec = Vec::new();
     match q {
@@ -151,14 +152,15 @@ pub fn estimate_total(q: &CompiledQuery, stats: &StoreStats) -> f64 {
 /// its synthetic `scalar[…]` root first). EXPLAIN ANALYZE pairs these
 /// positionally (label-checked) with the actual profile.
 pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstimate> {
-    let est = Estimator { stats };
     let mut env = Env::seed(stats);
     let mut rec = Vec::new();
     match q {
         CompiledQuery::Sequence(plan) => {
+            let est = Estimator { stats, sites: set_steps(plan) };
             est.est(plan, 1.0, &mut env, &mut rec);
         }
         CompiledQuery::Scalar(expr) => {
+            let est = Estimator { stats, sites: SetSteps::default() };
             rec.push(OpEstimate { label: format!("scalar[{expr}]"), est_tuples: 1.0 });
             est.pred_cost(expr, 1.0, &mut env, &mut rec);
         }
@@ -194,6 +196,10 @@ struct Est {
 
 struct Estimator<'a> {
     stats: &'a StoreStats,
+    /// The plan's set steps (DESIGN.md §21): each is recorded as one
+    /// operator, like the profile shows it. Only the per-operator
+    /// estimates need them; costs are those of the Π^D ∘ Υ pair.
+    sites: SetSteps<'a>,
 }
 
 impl Estimator<'_> {
@@ -284,8 +290,12 @@ impl Estimator<'_> {
     /// nested), mirroring the profiled physical build.
     fn est(&self, plan: &LogicalOp, opens: f64, env: &mut Env, rec: &mut Vec<OpEstimate>) -> Est {
         let slot = rec.len();
-        rec.push(OpEstimate { label: op_label(plan), est_tuples: 0.0 });
+        rec.push(OpEstimate { label: self.sites.label(plan), est_tuples: 0.0 });
         let e = self.est_inner(plan, opens, env, rec);
+        if self.sites.get(plan).is_some() {
+            // The absorbed Υ recorded itself right after the Π^D.
+            rec.remove(slot + 1);
+        }
         rec[slot].est_tuples = sane(opens * e.rows);
         Est { rows: sane(e.rows), cost: sane(e.cost) }
     }

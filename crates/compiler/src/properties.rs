@@ -326,20 +326,26 @@ mod tests {
         }
     }
 
+    /// True if EXPLAIN shows a duplicate elimination, standalone (`Π^D`)
+    /// or fused with its step into a set step (`Υ^D`, DESIGN.md §21).
+    fn has_dedup(text: &str) -> bool {
+        text.contains("Π^D") || text.contains("Υ^D")
+    }
+
     #[test]
     fn child_chain_is_distinct_and_ordered() {
         let p = plan("/a/b/c");
         // The final dedup is prunable.
         let pruned = prune(p);
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
     }
 
     #[test]
     fn attribute_step_preserves_order() {
         let pruned = prune(plan("/a/b/@id"));
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
     }
 
     #[test]
@@ -348,7 +354,7 @@ mod tests {
         // so both the pushed and the final dedups go away.
         let pruned = prune(plan("/descendant::a"));
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
     }
 
     #[test]
@@ -357,11 +363,11 @@ mod tests {
         // contexts stays distinct (single parent per node).
         let pruned = prune(plan("//a"));
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
         // parent::* genuinely produces duplicates: dedup must survive.
         let pruned = prune(plan("/a/b/parent::*"));
         let text = explain(&pruned);
-        assert!(text.contains("Π^D"), "{text}");
+        assert!(has_dedup(&text), "{text}");
     }
 
     #[test]
@@ -370,7 +376,7 @@ mod tests {
         // a's — duplicates are possible, dedup must stay.
         let pruned = prune(plan("//a//b"));
         let text = explain(&pruned);
-        assert!(text.contains("Π^D"), "{text}");
+        assert!(has_dedup(&text), "{text}");
     }
 
     #[test]
@@ -439,10 +445,10 @@ mod tests {
         // context node: statically ≤ 1 context tuple.
         let pruned = prune(plan("parent::*"));
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
         let pruned = prune(plan("following-sibling::*"));
         let text = explain(&pruned);
-        assert!(!text.contains("Π^D"), "{text}");
+        assert!(!has_dedup(&text), "{text}");
     }
 
     #[test]
@@ -456,7 +462,7 @@ mod tests {
         ] {
             let pruned = prune(plan(q));
             let text = explain(&pruned);
-            assert!(text.contains("Π^D"), "{q}:\n{text}");
+            assert!(has_dedup(&text), "{q}:\n{text}");
         }
     }
 
@@ -464,7 +470,7 @@ mod tests {
     fn prune_with_report_names_elided_operators() {
         let mut report = Vec::new();
         let pruned = prune_with_report(plan("/a/b/c"), &mut report);
-        assert!(!explain(&pruned).contains("Π^D"));
+        assert!(!has_dedup(&explain(&pruned)));
         assert_eq!(report, vec!["Π^D[cn]".to_owned()]);
         // Nested plans report too, and an unprunable plan reports nothing.
         let mut report = Vec::new();

@@ -5,7 +5,7 @@
 //! run them (the `nqe` crate and the CLI).
 
 use algebra::explain::{nested_aggs, scalar_aggs};
-use algebra::kernel::step_kernel;
+use algebra::kernel::{set_steps, step_kernel, SetSteps};
 use algebra::{AggExpr, LogicalOp, ScalarExpr};
 
 use crate::cost::OptimizerTrace;
@@ -61,21 +61,23 @@ impl QueryTrace {
     /// Record the final plan's statistics (operator count, depth,
     /// per-class counts).
     pub fn record_plan(&mut self, q: &CompiledQuery) {
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        let mut ops = 0usize;
-        let mut depth = 0usize;
+        let sites = match q {
+            CompiledQuery::Sequence(plan) => set_steps(plan),
+            CompiledQuery::Scalar(_) => SetSteps::default(),
+        };
+        let mut walker = PlanWalk { sites, ops: 0, max_depth: 0, counts: Vec::new() };
         match q {
-            CompiledQuery::Sequence(plan) => walk(plan, 1, &mut ops, &mut depth, &mut counts),
+            CompiledQuery::Sequence(plan) => walker.walk(plan, 1),
             CompiledQuery::Scalar(expr) => {
                 for agg in scalar_aggs(expr) {
-                    walk_agg(agg, 1, &mut ops, &mut depth, &mut counts);
+                    walker.walk_agg(agg, 1);
                 }
             }
         }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        self.plan_ops = ops;
-        self.plan_depth = depth;
-        self.op_counts = counts;
+        walker.counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.plan_ops = walker.ops;
+        self.plan_depth = walker.max_depth;
+        self.op_counts = walker.counts;
     }
 
     /// Render the phase breakdown and plan statistics as aligned text.
@@ -132,52 +134,54 @@ impl QueryTrace {
     }
 }
 
-fn walk(
-    plan: &LogicalOp,
-    depth: usize,
-    ops: &mut usize,
-    max_depth: &mut usize,
-    counts: &mut Vec<(String, usize)>,
-) {
-    count_op(op_class(plan), depth, ops, max_depth, counts);
-    for c in plan.children() {
-        walk(c, depth + 1, ops, max_depth, counts);
+/// Operator statistics over one plan, counting each fused operator (set
+/// step, step kernel) once, as it runs.
+struct PlanWalk<'p> {
+    sites: SetSteps<'p>,
+    ops: usize,
+    max_depth: usize,
+    counts: Vec<(String, usize)>,
+}
+
+impl PlanWalk<'_> {
+    fn walk(&mut self, plan: &LogicalOp, depth: usize) {
+        if let Some(shape) = self.sites.get(plan) {
+            let input = shape.input;
+            self.count_op(SET_STEP_CLASS, depth);
+            self.walk(input, depth + 1);
+            return;
+        }
+        self.count_op(op_class(plan), depth);
+        for c in plan.children() {
+            self.walk(c, depth + 1);
+        }
+        for agg in nested_aggs(plan) {
+            self.walk_agg(agg, depth + 1);
+        }
     }
-    for agg in nested_aggs(plan) {
-        walk_agg(agg, depth + 1, ops, max_depth, counts);
+
+    /// A nested aggregate's plan, or one operator when it runs as a fused
+    /// step kernel (DESIGN.md §20).
+    fn walk_agg(&mut self, agg: &AggExpr, depth: usize) {
+        if step_kernel(agg).is_some() {
+            self.count_op(KERNEL_CLASS, depth);
+        } else {
+            self.walk(&agg.plan, depth);
+        }
+    }
+
+    fn count_op(&mut self, class: &str, depth: usize) {
+        self.ops += 1;
+        self.max_depth = self.max_depth.max(depth);
+        match self.counts.iter_mut().find(|(k, _)| k == class) {
+            Some((_, n)) => *n += 1,
+            None => self.counts.push((class.to_owned(), 1)),
+        }
     }
 }
 
-/// A nested aggregate's plan, or one operator when it runs as a fused
-/// step kernel (DESIGN.md §20).
-fn walk_agg(
-    agg: &AggExpr,
-    depth: usize,
-    ops: &mut usize,
-    max_depth: &mut usize,
-    counts: &mut Vec<(String, usize)>,
-) {
-    if step_kernel(agg).is_some() {
-        count_op(KERNEL_CLASS, depth, ops, max_depth, counts);
-    } else {
-        walk(&agg.plan, depth, ops, max_depth, counts);
-    }
-}
-
-fn count_op(
-    class: &str,
-    depth: usize,
-    ops: &mut usize,
-    max_depth: &mut usize,
-    counts: &mut Vec<(String, usize)>,
-) {
-    *ops += 1;
-    *max_depth = (*max_depth).max(depth);
-    match counts.iter_mut().find(|(k, _)| k == class) {
-        Some((_, n)) => *n += 1,
-        None => counts.push((class.to_owned(), 1)),
-    }
-}
+/// Operator class of the set step (DESIGN.md §21).
+const SET_STEP_CLASS: &str = "Υ^D";
 
 /// Operator class of the fused step kernel.
 pub const KERNEL_CLASS: &str = "𝔄Υ";

@@ -8,15 +8,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use algebra::attrmgr::{AttrManager, Slot};
-use algebra::kernel::{step_kernel, StepKernelShape};
+use algebra::kernel::{set_steps, step_kernel, SetSteps, StepKernelShape};
 use algebra::scalar::{CmpMode, ScalarExpr};
 use algebra::LogicalOp;
 use compiler::CompiledQuery;
 
 use crate::iter::{
     CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, MapIter, MemoMapIter, MemoXIter,
-    NestedEval, PhysIter, RenameCopyIter, SelectIter, SemiJoinIter, SingletonIter, SortIter,
-    TmpCsIter, TokenizeIter, UnnestMapIter,
+    NestedEval, PhysIter, RenameCopyIter, SelectIter, SemiJoinIter, SetStepIter, SingletonIter,
+    SortIter, TmpCsIter, TokenizeIter, UnnestMapIter,
 };
 use crate::kernel::StepKernel;
 use crate::nvm::{Instr, Program, Reg};
@@ -74,7 +74,7 @@ fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<
     match q {
         CompiledQuery::Sequence(plan) => {
             let mut mgr = AttrManager::for_plan(plan);
-            let mut cg = Codegen { mgr: &mut mgr, profile, depth: 0 };
+            let mut cg = Codegen { mgr: &mut mgr, sites: set_steps(plan), profile, depth: 0 };
             let root = cg.build_iter(plan);
             let profile = cg.profile.take();
             let frame = finish_frame(&mut mgr);
@@ -85,7 +85,7 @@ fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<
             // scalar in a selection over □.
             let wrapper = LogicalOp::select(LogicalOp::Singleton, expr.clone());
             let mut mgr = AttrManager::for_plan(&wrapper);
-            let mut cg = Codegen { mgr: &mut mgr, profile, depth: 0 };
+            let mut cg = Codegen { mgr: &mut mgr, sites: SetSteps::default(), profile, depth: 0 };
             // With profiling on, synthesize a root entry for the scalar
             // evaluation itself so the profile of a boolean/numeric query
             // is never empty; nested sequence plans hang one level below.
@@ -116,19 +116,21 @@ fn finish_frame(mgr: &mut AttrManager) -> FrameInfo {
     FrameInfo { width: mgr.frame_width(), cn, cp, cs }
 }
 
-struct Codegen<'m> {
+struct Codegen<'m, 'p> {
     mgr: &'m mut AttrManager,
+    /// The plan's `Π^D ∘ Υ` pairs that lower to one set step.
+    sites: SetSteps<'p>,
     profile: Option<Profile>,
     depth: usize,
 }
 
-impl Codegen<'_> {
+impl Codegen<'_, '_> {
     fn build_iter(&mut self, op: &LogicalOp) -> Box<dyn PhysIter> {
         // Register the entry before recursing so the profile reads in
         // plan (pre-order) order.
         let prof_idx = self.profile.as_mut().map(|p| {
             p.entries.push(ProfileEntry {
-                label: algebra::explain::op_label(op),
+                label: self.sites.label(op),
                 depth: self.depth,
                 stats: Arc::new(Mutex::new(OpStats::default())),
             });
@@ -147,6 +149,12 @@ impl Codegen<'_> {
     }
 
     fn build_iter_inner(&mut self, op: &LogicalOp) -> Box<dyn PhysIter> {
+        if let Some(&shape) = self.sites.get(op) {
+            let input = self.build_iter(shape.input);
+            let ctx = self.mgr.slot(shape.context);
+            let out = self.mgr.slot(shape.attr);
+            return Box::new(SetStepIter::new(input, ctx, out, shape.axis, shape.test.clone()));
+        }
         match op {
             LogicalOp::Singleton => Box::new(SingletonIter::new()),
             LogicalOp::Select { input, pred } => {

@@ -15,6 +15,7 @@ use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
 use crate::governor::{group_key_bytes, tuple_bytes, value_bytes, ChargeLedger};
+use crate::iter::setstep::RankSet;
 use crate::iter::{CompiledPred, Gauge, GroupKey, PhysIter};
 
 /// Π^D_a — duplicate elimination on one attribute, keeping the first
@@ -29,7 +30,7 @@ pub struct DedupIter {
     slot: Slot,
     seen: HashSet<GroupKey>,
     /// Rank bitset, lazily sized from the index on first node key.
-    bits: Option<Vec<u64>>,
+    bits: Option<RankSet>,
     ledger: ChargeLedger,
     /// Statistics: input tuples dropped as duplicates (all opens).
     pub dropped: u64,
@@ -75,16 +76,13 @@ impl PhysIter for DedupIter {
                 .and_then(|n| rt.store.structural_index().and_then(|idx| idx.rank_of(n)));
             if let Some(rank) = rank {
                 if self.bits.is_none() {
-                    let words = rt.store.structural_index().map_or(0, |idx| idx.len()).div_ceil(64);
-                    if !self.ledger.charge(rt.gov, (words * 8) as u64) {
+                    let len = rt.store.structural_index().map_or(0, |idx| idx.len());
+                    if !self.ledger.charge(rt.gov, RankSet::bytes(len)) {
                         return None;
                     }
-                    self.bits = Some(vec![0u64; words]);
+                    self.bits = Some(RankSet::new(len));
                 }
-                let bits = self.bits.as_mut().expect("allocated above");
-                let (word, bit) = ((rank / 64) as usize, rank % 64);
-                if bits[word] & (1 << bit) == 0 {
-                    bits[word] |= 1 << bit;
+                if self.bits.as_mut().expect("allocated above").insert(rank) {
                     self.bitset_keys += 1;
                     return Some(t);
                 }

@@ -8,11 +8,13 @@ mod basic;
 mod group;
 mod join;
 mod path;
+mod setstep;
 
 pub use basic::{ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter};
 pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
 pub use path::{TokenizeIter, UnnestMapIter};
+pub use setstep::SetStepIter;
 
 use algebra::attrmgr::Slot;
 use algebra::scalar::AggFunc;
@@ -170,24 +172,11 @@ impl NestedPlan {
             }
         };
         self.iter.close(rt);
-        if trace_enabled() {
-            eprintln!(
-                "nested {:?} over slot {} -> {:?} (indep={})",
-                self.func, self.over, result, self.independent
-            );
-        }
         if self.independent {
             self.cached = Some(result.clone());
         }
         result
     }
-}
-
-/// Debug tracing of nested-aggregate evaluations (`NQE_TRACE=1`).
-fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("NQE_TRACE").is_ok())
 }
 
 /// Key for duplicate elimination / grouping on an attribute. Result

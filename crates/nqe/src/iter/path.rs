@@ -17,7 +17,7 @@ use crate::iter::{CompiledPred, Gauge, PhysIter};
 
 /// Node test resolved against a concrete store (name → `NameId`).
 #[derive(Clone, Debug)]
-enum ResolvedTest {
+pub(crate) enum ResolvedTest {
     /// A name that does not occur in the document: matches nothing.
     Impossible,
     /// Principal-kind node with this interned name.
@@ -37,7 +37,7 @@ enum ResolvedTest {
 }
 
 impl ResolvedTest {
-    fn resolve(test: &NodeTest, axis: Axis, rt: &Runtime<'_>) -> ResolvedTest {
+    pub(crate) fn resolve(test: &NodeTest, axis: Axis, rt: &Runtime<'_>) -> ResolvedTest {
         let principal = axis.principal_kind();
         match test {
             NodeTest::Name(n) => match rt.store.intern_lookup(n) {
@@ -57,7 +57,7 @@ impl ResolvedTest {
         }
     }
 
-    fn matches(&self, n: NodeId, rt: &Runtime<'_>) -> bool {
+    pub(crate) fn matches(&self, n: NodeId, rt: &Runtime<'_>) -> bool {
         let store = rt.store;
         match self {
             ResolvedTest::Impossible => false,
@@ -79,7 +79,7 @@ impl ResolvedTest {
     /// Same test against the index's dense per-rank arrays — the range
     /// scan's inner loop never touches the store except for the rare
     /// `prefix:*` test, which needs name text.
-    fn matches_rank(&self, rank: u32, idx: &StructuralIndex, rt: &Runtime<'_>) -> bool {
+    pub(crate) fn matches_rank(&self, rank: u32, idx: &StructuralIndex, rt: &Runtime<'_>) -> bool {
         match self {
             ResolvedTest::Impossible => false,
             ResolvedTest::Name(kind, id) => {

@@ -140,81 +140,84 @@ fn tuple_budget_counts_materialized_tuples_only() {
     assert!(matches!(gov.error(), Some(QueryError::TuplesExceeded { limit: 2 })));
 }
 
+/// Assert that `query` clears a memory budget of exactly `footprint`
+/// bytes and trips with a typed MemoryExceeded one byte short.
+fn assert_exact_footprint(store: &dyn XmlStore, query: &str, footprint: u64) {
+    let run = |max: u64| {
+        nqe::evaluate_governed(
+            store,
+            query,
+            &TranslateOptions::improved(),
+            &ResourceLimits::unlimited().with_max_memory(max),
+            store.root(),
+            &HashMap::new(),
+        )
+    };
+    let out = run(footprint);
+    assert!(out.is_ok(), "exact footprint clears `{query}`: {out:?}");
+    let out = run(footprint - 1);
+    assert!(
+        matches!(out, Err(compiler::PipelineError::Resource(QueryError::MemoryExceeded { .. }))),
+        "one byte short trips `{query}`: {out:?}"
+    );
+}
+
 #[test]
 fn dedup_bitsets_charge_one_word_block_each() {
     // On an indexed store the Π^D seen-sets are rank bitsets of
     // ⌈index len / 64⌉ words, charged once when the first node key
-    // arrives. The improved plan for //b/parent::a carries two of them,
-    // both alive at the peak (descendant-or-self step + parent step),
-    // plus the 2 result node-ids accumulated alongside.
+    // arrives. The aggregate's nested plan for //b/parent::a keeps its
+    // standalone Π^D operators (a top-level path runs them as set steps,
+    // see below) and carries two of them, both alive at the peak
+    // (descendant-or-self step + parent step). A scalar result
+    // accumulates no node-ids.
     let s = store();
     let idx_len = s.structural_index().expect("arena is indexed").len();
     let bitset_bytes = (idx_len.div_ceil(64) * 8) as u64;
-    let node_id = std::mem::size_of::<xmlstore::NodeId>() as u64;
-    let footprint = 2 * bitset_bytes + 2 * node_id;
-    let limits = ResourceLimits::unlimited().with_max_memory(footprint);
-    let out = nqe::evaluate_governed(
-        &s,
-        "//b/parent::a",
-        &TranslateOptions::improved(),
-        &limits,
-        s.root(),
-        &HashMap::new(),
-    );
-    assert!(out.is_ok(), "exact footprint clears: {out:?}");
-
-    let limits = ResourceLimits::unlimited().with_max_memory(footprint - 1);
-    let out = nqe::evaluate_governed(
-        &s,
-        "//b/parent::a",
-        &TranslateOptions::improved(),
-        &limits,
-        s.root(),
-        &HashMap::new(),
-    );
-    assert!(
-        matches!(out, Err(compiler::PipelineError::Resource(QueryError::MemoryExceeded { .. }))),
-        "one byte short trips: {out:?}"
-    );
+    assert_exact_footprint(&s, "count(//b/parent::a)", 2 * bitset_bytes);
 }
 
 #[test]
 fn dedup_seen_set_charges_group_keys_without_index() {
     // Hiding the index forces Π^D back onto the hash seen-sets: one
-    // GroupKey per distinct value. The improved plan for //b/parent::a
+    // GroupKey per distinct value. The nested plan of count(//b/parent::a)
     // carries two of them, both alive at the peak: the
     // descendant-or-self step's (all 10 nodes of the fixture: root,
     // <r>, 2×<a>, 3×<b>, 3 text nodes) and the parent step's (2 distinct
-    // <a>), plus the 2 result node-ids accumulated alongside.
+    // <a>).
     let s = store();
     let plain = xmlstore::NoIndex(&s);
     let key_bytes = group_key_bytes(&GroupKey::Null);
-    let node_id = std::mem::size_of::<xmlstore::NodeId>() as u64;
-    let footprint = 10 * key_bytes + 2 * key_bytes + 2 * node_id;
-    let limits = ResourceLimits::unlimited().with_max_memory(footprint);
-    let out = nqe::evaluate_governed(
-        &plain,
-        "//b/parent::a",
-        &TranslateOptions::improved(),
-        &limits,
-        plain.root(),
-        &HashMap::new(),
-    );
-    assert!(out.is_ok(), "exact footprint clears: {out:?}");
+    assert_exact_footprint(&plain, "count(//b/parent::a)", 10 * key_bytes + 2 * key_bytes);
+}
 
-    let limits = ResourceLimits::unlimited().with_max_memory(footprint - 1);
-    let out = nqe::evaluate_governed(
-        &plain,
-        "//b/parent::a",
-        &TranslateOptions::improved(),
-        &limits,
-        plain.root(),
-        &HashMap::new(),
-    );
-    assert!(
-        matches!(out, Err(compiler::PipelineError::Resource(QueryError::MemoryExceeded { .. }))),
-        "one byte short trips: {out:?}"
-    );
+#[test]
+fn set_steps_charge_rank_sets_or_hash_keys() {
+    // The top-level //b/parent::a runs both duplicate-eliminated steps as
+    // set steps (DESIGN.md §21). On the indexed fixture (10 ranks, so one
+    // 1-word set = 8 B) the peak is two sets, reached three times over:
+    // while the parent step drains, the descendant-or-self step's context
+    // set and the parent step's; once the drained input is closed, the
+    // parent step's context set and its reached-set; once the context set
+    // is released, the reached-set and the 2 result node-ids.
+    let s = store();
+    let idx_len = s.structural_index().expect("arena is indexed").len();
+    let bitset_bytes = (idx_len.div_ceil(64) * 8) as u64;
+    let node_id = std::mem::size_of::<xmlstore::NodeId>() as u64;
+    let footprint = (2 * bitset_bytes).max(bitset_bytes + 2 * node_id);
+    assert_eq!(footprint, 2 * bitset_bytes);
+    assert_exact_footprint(&s, "//b/parent::a", footprint);
+
+    // Without an index both steps take the hash path: one GroupKey per
+    // distinct context and per distinct node reached. The peak is while
+    // the parent step drains: the descendant-or-self step's 1 context and
+    // 10 reached nodes plus the parent step's 3 contexts (<b>). After the
+    // input closes the parent step holds 3 + 2 keys (the 2 <a>) and the
+    // result accumulator 2 node-ids, well below.
+    let plain = xmlstore::NoIndex(&s);
+    let key_bytes = group_key_bytes(&GroupKey::Null);
+    assert!(5 * key_bytes + 2 * node_id < 14 * key_bytes);
+    assert_exact_footprint(&plain, "//b/parent::a", (1 + 10 + 3) * key_bytes);
 }
 
 #[test]

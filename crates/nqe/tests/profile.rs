@@ -148,11 +148,14 @@ fn gauge_sum(report: &AnalyzeReport, name: &str) -> u64 {
 
 /// Υ on an indexed store serves interval axes by range scan; hiding the
 /// index behind `NoIndex` flips every context to a cursor fallback. Both
-/// counters surface in the text table and the JSON export.
+/// counters surface in the text table and the JSON export. The path sits
+/// inside an aggregate, whose nested plan keeps its standalone Υ (a
+/// top-level `//b` runs its descendant-or-self step as a set step, see
+/// `set_step_gauges_report_contexts_pruned_and_visited`).
 #[test]
 fn unnest_gauges_report_range_scans_and_cursor_fallbacks() {
     let store = doc();
-    let report = analyze(&store, "//b", &TranslateOptions::improved());
+    let report = analyze(&store, "count(//b)", &TranslateOptions::improved());
     assert!(gauge_sum(&report, "range_scans") > 0, "descendant steps use the index");
     assert_eq!(gauge_sum(&report, "cursor_fallbacks"), 0);
     assert!(report.text().contains("range_scans="), "gauge visible in the text report");
@@ -163,7 +166,7 @@ fn unnest_gauges_report_range_scans_and_cursor_fallbacks() {
     let plain = NoIndex(&store);
     let (_, report) = explain_analyze(
         &plain,
-        "//b",
+        "count(//b)",
         &TranslateOptions::improved(),
         plain.root(),
         &HashMap::new(),
@@ -175,11 +178,12 @@ fn unnest_gauges_report_range_scans_and_cursor_fallbacks() {
 
 /// Π^D keys node values through the rank bitset on indexed stores and
 /// through the hash seen-set otherwise; the two key counters make the
-/// choice observable per operator.
+/// choice observable per operator. As above, the aggregate's nested plan
+/// keeps the standalone Π^D operators.
 #[test]
 fn dedup_gauges_report_bitset_vs_hash_keys() {
     let store = doc();
-    let report = analyze(&store, "//b/parent::a", &TranslateOptions::improved());
+    let report = analyze(&store, "count(//b/parent::a)", &TranslateOptions::improved());
     assert!(gauge_sum(&report, "bitset_keys") > 0, "node keys land in the bitset");
     assert_eq!(gauge_sum(&report, "hash_keys"), 0);
     assert!(report.to_json().pretty().contains("\"bitset_keys\""));
@@ -187,7 +191,7 @@ fn dedup_gauges_report_bitset_vs_hash_keys() {
     let plain = NoIndex(&store);
     let (_, report) = explain_analyze(
         &plain,
-        "//b/parent::a",
+        "count(//b/parent::a)",
         &TranslateOptions::improved(),
         plain.root(),
         &HashMap::new(),
@@ -195,6 +199,44 @@ fn dedup_gauges_report_bitset_vs_hash_keys() {
     .unwrap();
     assert_eq!(gauge_sum(&report, "bitset_keys"), 0);
     assert!(gauge_sum(&report, "hash_keys") > 0, "no index, hash seen-set");
+}
+
+/// The top-level `//b/parent::a` runs both duplicate-eliminated steps as
+/// set steps (DESIGN.md §21). Hand-computed on the 7-node fixture (root,
+/// r, a, 4×b): the descendant-or-self step has 1 context and visits all
+/// 7 nodes in one interval scan; the parent step has 4 contexts, and 3
+/// of its walks stop at once on the already-reached `a`, so it visits 4
+/// nodes and prunes 3. The hash path without an index visits and prunes
+/// exactly the same; only the memory differs: one 1-word rank set per
+/// step plus the parent step's reached-set (8 + 16 B) against one group
+/// key per context and per reached node (8 + 5 keys).
+#[test]
+fn set_step_gauges_report_contexts_pruned_and_visited() {
+    let store = doc();
+    let plain = NoIndex(&store);
+    let key = nqe::group_key_bytes(&nqe::iter::GroupKey::Null);
+    for (s, (dos_mem, parent_mem)) in [
+        (&store as &dyn XmlStore, (8, 16)),
+        (&plain as &dyn XmlStore, (8 * key, 5 * key)),
+    ] {
+        let (_, report) = explain_analyze(
+            s,
+            "//b/parent::a",
+            &TranslateOptions::improved(),
+            s.root(),
+            &HashMap::new(),
+        )
+        .unwrap();
+        let entries = &report.profile.entries;
+        let row = |label: &str| {
+            let e = entries.iter().find(|e| e.label == label).expect(label);
+            ["contexts", "pruned", "visited", "mem_charged"].map(|g| gauge(e, g).unwrap())
+        };
+        assert_eq!(row("Υ^D[c2:c1/descendant-or-self::node()]"), [1, 0, 7, dos_mem]);
+        assert_eq!(row("Υ^D[c4:c3/parent::a]"), [4, 3, 4, parent_mem]);
+        assert!(!entries.iter().any(|e| e.label.starts_with("Π^D")), "no standalone Π^D");
+        assert!(report.text().contains("pruned=3"), "gauges visible in the text report");
+    }
 }
 
 fn entry(label: &str, depth: usize, opens: u64, tuples: u64, nanos: u64) -> ProfileEntry {
